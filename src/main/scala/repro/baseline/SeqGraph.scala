@@ -3,17 +3,24 @@ package repro.baseline
 import org.apache.spark.sql.DataFrame
 
 /** Driver-side compact adjacency representation for the sequential
-  * baselines (GS*-Index, original SCAN). Vertex ids are remapped to dense
-  * ints 0..n-1 (ascending by original id); adjacency lists are sorted by
-  * neighbor index — the precondition of the §6.1 merge-based triangle
-  * counting, and what GBBS's file format guarantees.
+  * baselines (GS*-Index, original SCAN) and the Spark index build, which
+  * broadcasts it. Vertex ids are remapped to dense ints 0..n-1 (ascending
+  * by original id); adjacency lists are sorted by neighbor index — the
+  * precondition of the §6.1 merge-based triangle counting, and what GBBS's
+  * file format guarantees.
   */
 final class SeqGraph(
     val n: Int,
     val ids: Array[Long],              // dense index -> original vertex id
-    val idOf: Map[Long, Int],          // original vertex id -> dense index
     val adj: Array[Array[Int]],        // sorted neighbor indices
-    val wts: Array[Array[Double]]) {   // weights aligned with adj
+    val wts: Array[Array[Double]])     // weights aligned with adj
+    extends Serializable {
+
+  /** Original vertex id -> dense index (binary search over `ids`). */
+  def idOf(id: Long): Int = {
+    val i = java.util.Arrays.binarySearch(ids, id)
+    if (i >= 0) i else throw new NoSuchElementException(s"vertex $id is not in the graph")
+  }
 
   def degree(u: Int): Int = adj(u).length
 
@@ -26,46 +33,68 @@ final class SeqGraph(
       adj(u).iterator.zip(wts(u).iterator).filter(_._1 > u).map { case (v, w) => (u, v, w) }
     }
 
+  /** Edge id of every adjacency slot: edges are numbered 0..m-1 in the
+    * order `edges` yields them, so u's slots above u hold consecutive ids
+    * and a slot below u holds the id the lower endpoint gave the edge.
+    */
+  lazy val eids: Array[Array[Int]] = {
+    val out  = adj.map(a => new Array[Int](a.length))
+    var next = 0
+    for (u <- 0 until n; k <- adj(u).indices) {
+      val v = adj(u)(k)
+      out(u)(k) = if (v > u) { next += 1; next - 1 } else out(v)(java.util.Arrays.binarySearch(adj(v), u))
+    }
+    out
+  }
+
   /** Weight lookup via binary search on the sorted adjacency list. */
   def weight(u: Int, v: Int): Double = {
     val i = java.util.Arrays.binarySearch(adj(u), v)
     if (i >= 0) wts(u)(i) else 0.0
   }
+
+  /** v's adjacency slots in neighbor order (NO[v]), given similarities
+    * aligned with `adj(v)`: descending similarity, ties by ascending
+    * neighbor id. Both the sequential and the Spark index sort with it.
+    */
+  def neighborOrder(v: Int, sims: Array[Double]): Array[Int] =
+    adj(v).indices.toArray.sortWith { (x, y) =>
+      val c = java.lang.Double.compare(sims(x), sims(y))
+      c > 0 || (c == 0 && adj(v)(x) < adj(v)(y))
+    }
 }
 
 object SeqGraph {
 
   /** Collect a canonical (src, dst, weight) DataFrame to the driver. */
   def fromDataFrame(canonical: DataFrame): SeqGraph = {
-    val rows = canonical
-      .select("src", "dst", "weight")
-      .collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
-    fromEdges(rows)
+    val rows = canonical.select("src", "dst", "weight").collect()
+    fromEdges(rows.map(_.getLong(0)), rows.map(_.getLong(1)), rows.map(_.getDouble(2)))
   }
 
-  def fromEdges(rows: Array[(Long, Long, Double)]): SeqGraph = {
-    val ids  = rows.flatMap(e => Array(e._1, e._2)).distinct.sorted
-    val idOf = ids.zipWithIndex.toMap
-    val n    = ids.length
-    val degs = new Array[Int](n)
-    rows.foreach { case (s, d, _) => degs(idOf(s)) += 1; degs(idOf(d)) += 1 }
-    val adj = Array.tabulate(n)(i => new Array[Int](degs(i)))
-    val wts = Array.tabulate(n)(i => new Array[Double](degs(i)))
-    val pos = new Array[Int](n)
-    rows.foreach { case (s, d, w) =>
-      val (si, di) = (idOf(s), idOf(d))
-      adj(si)(pos(si)) = di; wts(si)(pos(si)) = w; pos(si) += 1
-      adj(di)(pos(di)) = si; wts(di)(pos(di)) = w; pos(di) += 1
+  /** Build the CSR from canonical edges given as aligned arrays. */
+  def fromEdges(src: Array[Long], dst: Array[Long], w: Array[Double]): SeqGraph = {
+    // Edge ids and the 2m adjacency slots are Int-indexed (and n ≤ 2m).
+    val m = src.length
+    require(m <= (Int.MaxValue - 8) / 2, s"SeqGraph: $m edges do not fit the CSR's Int vertex and edge ids")
+    // Dense index = position among the distinct endpoints, ascending.
+    val all = src ++ dst
+    java.util.Arrays.sort(all)
+    val ids = all.indices.iterator.filter(i => i == 0 || all(i) != all(i - 1)).map(all(_)).toArray
+    val s   = src.map(java.util.Arrays.binarySearch(ids, _))
+    val d   = dst.map(java.util.Arrays.binarySearch(ids, _))
+    // Scatter both directions into lists, then transpose: reading the lists
+    // in ascending vertex order appends to every neighbor's list in
+    // ascending order, so the result is sorted without a sort.
+    val degs = new Array[Int](ids.length)
+    (s ++ d).foreach(degs(_) += 1)
+    def scatter(from: Iterator[(Int, Int, Double)]): (Array[Array[Int]], Array[Array[Double]]) = {
+      val (adj, wts, pos) = (degs.map(new Array[Int](_)), degs.map(new Array[Double](_)), new Array[Int](degs.length))
+      from.foreach { case (u, v, x) => adj(u)(pos(u)) = v; wts(u)(pos(u)) = x; pos(u) += 1 }
+      (adj, wts)
     }
-    // Sort each adjacency list by neighbor index, keeping weights aligned.
-    var i = 0
-    while (i < n) {
-      val order = adj(i).indices.toArray.sortBy(adj(i))
-      adj(i) = order.map(adj(i))
-      wts(i) = order.map(wts(i))
-      i += 1
-    }
-    new SeqGraph(n, ids, idOf, adj, wts)
+    val (tmpAdj, tmpW) = scatter((0 until m).iterator.flatMap(i => Iterator((s(i), d(i), w(i)), (d(i), s(i), w(i)))))
+    val (adj, wts) = scatter(tmpAdj.indices.iterator.flatMap(v => tmpAdj(v).indices.iterator.map(k => (tmpAdj(v)(k), v, tmpW(v)(k)))))
+    new SeqGraph(ids.length, ids, adj, wts)
   }
 }

@@ -167,34 +167,31 @@ object SeqScanIndex {
     sims
   }
 
-  /** §6.1 sims: orient edges toward the higher-(degree, id) endpoint, merge
-    * sorted out-neighborhoods to enumerate each triangle once, and
-    * accumulate weight products into all three edges.
-    *
-    * Accumulators are flat arrays indexed by a dense edge id (carried
-    * alongside the directed out-neighborhoods), not a hash map — the
-    * cache-friendliness of this accumulation is precisely what the paper's
-    * merge-based optimization buys over the hash-intersection approach.
-    */
+  /** §6.1 sims: the merge kernel over all vertices on one thread. */
   def simsOpt(g: SeqGraph, measure: Similarity.Measure): mutable.LongMap[Double] = {
-    val unweighted = measure == Similarity.Jaccard
-    val norms = normsOf(g, unweighted)
-    def rank(v: Int): Long = (g.degree(v).toLong << 32) | v.toLong
+    val tri = new Array[Double](g.numEdges.toInt)
+    mergeStripe(g, measure, tri, 0, 1)
+    val byEdge = simsByEdge(g, measure, tri)
+    val sims   = new mutable.LongMap[Double](2 * tri.length + 1)
+    g.edges.zipWithIndex.foreach { case ((u, v, _), e) => sims(key(u, v)) = byEdge(e) }
+    sims
+  }
 
-    // Dense edge ids, assigned in canonical edge order; per-vertex id lists
-    // aligned with the (sorted) adjacency lists.
-    val m = g.numEdges.toInt
-    val eidOf = Array.tabulate(g.n)(v => new Array[Int](g.adj(v).length))
-    val eSrc  = new Array[Int](m)
-    val eDst  = new Array[Int](m)
-    val eW    = new Array[Double](m)
-    var eid = 0
-    g.edges.foreach { case (u, v, w) =>
-      eidOf(u)(java.util.Arrays.binarySearch(g.adj(u), v)) = eid
-      eidOf(v)(java.util.Arrays.binarySearch(g.adj(v), u)) = eid
-      eSrc(eid) = u; eDst(eid) = v; eW(eid) = if (unweighted) 1.0 else w
-      eid += 1
-    }
+  /** The §6.1 merge kernel, shared by `simsOpt` (one stripe) and the Spark
+    * build (one stripe per task): orient edges toward the higher-(degree,
+    * id) endpoint, merge sorted out-neighborhoods to enumerate each triangle
+    * once, and accumulate weight products into all three edges. Adds the
+    * triangles whose lowest-ranked vertex a has a ≡ stripe (mod stripes).
+    *
+    * Accumulators are flat arrays indexed by the dense edge id
+    * (`SeqGraph.eids`, carried alongside the directed out-neighborhoods),
+    * not a hash map — the cache-friendliness of this accumulation is
+    * precisely what the paper's merge-based optimization buys over the
+    * hash-intersection approach.
+    */
+  def mergeStripe(g: SeqGraph, measure: Similarity.Measure, tri: Array[Double], stripe: Int, stripes: Int): Unit = {
+    val unweighted = measure == Similarity.Jaccard
+    def rank(v: Int): Long = (g.degree(v).toLong << 32) | v.toLong
 
     // Directed out-neighborhoods with aligned weights and edge ids
     // (sorted by neighbor index, inherited from adj).
@@ -206,16 +203,12 @@ object SeqScanIndex {
       val keepIdx = g.adj(v).indices.filter(i => rank(v) < rank(g.adj(v)(i))).toArray
       out(v) = keepIdx.map(g.adj(v))
       outW(v) = keepIdx.map(i => if (unweighted) 1.0 else g.wts(v)(i))
-      outEid(v) = keepIdx.map(eidOf(v))
+      outEid(v) = keepIdx.map(g.eids(v))
       v += 1
     }
 
-    val dots = new Array[Double](m)
-    var e = 0
-    while (e < m) { dots(e) = 2.0 * eW(e); e += 1 }
-
     // For each directed edge (a -> b), merge out(a) and out(b).
-    var a = 0
+    var a = stripe
     while (a < g.n) {
       val oa = out(a); val wa = outW(a); val ea = outEid(a)
       var bi = 0
@@ -228,28 +221,32 @@ object SeqScanIndex {
           if (x == y) {
             val wax = wa(i); val wbx = wb(j)
             // triangle (a, b, x): contribute to {a,b}, {a,x}, {b,x}
-            dots(eab) += wax * wbx
-            dots(ea(i)) += wab * wbx
-            dots(eb(j)) += wab * wax
+            tri(eab) += wax * wbx
+            tri(ea(i)) += wab * wbx
+            tri(eb(j)) += wab * wax
             i += 1; j += 1
           } else if (x < y) i += 1
           else j += 1
         }
         bi += 1
       }
-      a += 1
+      a += stripes
     }
-    val sims = new mutable.LongMap[Double](2 * m + 1)
-    e = 0
-    while (e < m) {
-      sims(key(eSrc(e), eDst(e))) = finish(g, measure, eSrc(e), eDst(e), dots(e), norms)
-      e += 1
-    }
-    sims
+  }
+
+  /** Similarities by edge id from the triangle sums of every stripe:
+    * dot = 2·w(u,v) + tri.
+    */
+  def simsByEdge(g: SeqGraph, measure: Similarity.Measure, tri: Array[Double]): Array[Double] = {
+    val unweighted = measure == Similarity.Jaccard
+    val norms = normsOf(g, unweighted)
+    g.edges.zipWithIndex.map { case ((u, v, w), e) =>
+      finish(g, measure, u, v, 2.0 * (if (unweighted) 1.0 else w) + tri(e), norms)
+    }.toArray
   }
 
   /** Squared norms; the final division uses sqrt(nsqU * nsqV) — the same
-    * floating-point expression as the Spark implementation, so unweighted
+    * floating-point expression as the Spark implementations, so unweighted
     * results are bit-identical across implementations.
     */
   private def normsOf(g: SeqGraph, unweighted: Boolean): Array[Double] =
@@ -288,11 +285,10 @@ object SeqScanIndex {
     var v = 0
     while (v < g.n) {
       val nbrs = g.adj(v)
-      val order = nbrs.indices.toArray
-        .map(i => (nbrs(i), simOf(v, nbrs(i))))
-        .sortBy { case (u, s) => (-s, g.ids(u)) }
-      noNbr(v) = order.map(_._1)
-      noSim(v) = order.map(_._2)
+      val sims = nbrs.map(simOf(v, _))
+      val order = g.neighborOrder(v, sims)
+      noNbr(v) = order.map(nbrs)
+      noSim(v) = order.map(sims)
       maxMu = math.max(maxMu, nbrs.length + 1)
       v += 1
     }

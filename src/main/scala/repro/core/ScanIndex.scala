@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.graph.GraphOps
+import org.apache.spark.storage.StorageLevel
 
 /** The GS*-Index structure (§3.2 / §4.1, Algorithm 2) as DataFrames.
   *
@@ -28,10 +28,14 @@ final case class ScanIndex(
     neighborOrder: DataFrame,
     coreOrder: DataFrame) {
 
+  // `edges` is the caller's graph: release it only if `cache()` cached it.
+  private var cachedEdges = false
+
   /** Cache all index DataFrames (index construction is the expensive
     * precomputation; queries must not recompute it).
     */
   def cache(): ScanIndex = {
+    cachedEdges = cachedEdges || edges.storageLevel == StorageLevel.NONE
     edges.cache(); degrees.cache(); similarities.cache()
     neighborOrder.cache(); coreOrder.cache()
     this
@@ -39,61 +43,65 @@ final case class ScanIndex(
 
   /** Force materialization (for timing index construction end-to-end).
     *
-    * Assumes the index is cached (see `cache()`): one scan of `coreOrder`
-    * pulls the whole lineage — similarities → neighbor order → core order —
-    * populating all three caches in a single pass; the remaining counts
-    * touch only cheap DataFrames. Without caching, separate counts would
-    * recompute (or let Catalyst prune!) the expensive operators and the
-    * timing would not reflect a usable index.
+    * Assumes the index is cached (see `cache()`): the scan of `coreOrder`
+    * also computes and stores the neighbor order it is sorted from; the
+    * remaining counts fill the other caches. Without caching, separate
+    * counts would recompute (or let Catalyst prune!) the expensive
+    * operators and the timing would not reflect a usable index.
     */
   def materialize(): ScanIndex = {
     coreOrder.count()
-    neighborOrder.count(); similarities.count() // cache hits after the scan
+    neighborOrder.count(); similarities.count()
     edges.count(); degrees.count()
     this
   }
 
+  /** Release what `cache()` cached; a graph the caller cached stays cached. */
   def unpersist(): Unit = {
-    edges.unpersist(); degrees.unpersist(); similarities.unpersist()
+    if (cachedEdges) edges.unpersist()
+    cachedEdges = false
+    degrees.unpersist(); similarities.unpersist()
     neighborOrder.unpersist(); coreOrder.unpersist()
   }
 
-  /** Largest μ for which any vertex can be a core (= max |N̄(v)|). */
-  lazy val maxMu: Int =
-    coreOrder.agg(max("mu")).collect().headOption.flatMap(r => Option(r.get(0))) match {
-      case Some(m: Long) => m.toInt
-      case Some(m: Int)  => m
-      case _             => 1
-    }
+  /** Largest μ for which any vertex can be a core (= max |N̄(v)|); 1 for
+    * an index with no edges.
+    */
+  lazy val maxMu: Int = {
+    val top = coreOrder.agg(max("mu")).head()
+    if (top.isNullAt(0)) 1 else top.getInt(0)
+  }
 }
 
 object ScanIndex {
 
   /** Build the full index for a canonical graph under `measure`. */
-  def build(canonical: DataFrame, measure: Similarity.Measure): ScanIndex =
-    fromSimilarities(canonical, Similarity.similarities(canonical, measure))
+  def build(canonical: DataFrame, measure: Similarity.Measure): ScanIndex = {
+    val sims = EdgeSims.exact(canonical, measure)
+    assemble(canonical, sims, sims.similarities)
+  }
 
   /** Build the index from precomputed per-edge similarities (used by the
     * approximate variants, which only change how sims are produced — §5).
+    * The index keeps `sims` as its `similarities`, so `unpersist` releases
+    * it with the rest of the index. It is cached before the collect, so a
+    * costly producer (the LSH pipeline) runs once, not again when the
+    * index is materialized.
     */
-  def fromSimilarities(canonical: DataFrame, sims: DataFrame): ScanIndex = {
-    val simsSym = sims
-      .select(col("src").as("v"), col("dst").as("nbr"), col("sim"))
-      .unionByName(sims.select(col("dst").as("v"), col("src").as("nbr"), col("sim")))
+  def fromSimilarities(canonical: DataFrame, sims: DataFrame): ScanIndex =
+    assemble(canonical, EdgeSims.collect(canonical, sims.cache()), sims)
 
-    val no = simsSym
-      .withColumn(
-        "rank",
-        row_number().over(Window.partitionBy("v").orderBy(desc("sim"), asc("nbr"))) + 1)
-      .select("v", "rank", "nbr", "sim")
-
+  /** NO written per vertex; CO one window over NO: row (μ, ·, v, t) for
+    * every NO row (v, μ, ·, t), ranked within μ by descending threshold.
+    */
+  private def assemble(canonical: DataFrame, sims: EdgeSims, simsDf: DataFrame): ScanIndex = {
+    val no = sims.neighborOrder
     val co = no
       .select(col("rank").as("mu"), col("v"), col("sim").as("threshold"))
       .withColumn(
         "coreRank",
         row_number().over(Window.partitionBy("mu").orderBy(desc("threshold"), asc("v"))))
       .select("mu", "coreRank", "v", "threshold")
-
-    ScanIndex(canonical, GraphOps.degrees(canonical), sims, no, co)
+    ScanIndex(canonical, sims.degrees, simsDf, no, co)
   }
 }

@@ -26,66 +26,14 @@ object Similarity {
   case object Cosine  extends Measure
   case object Jaccard extends Measure
 
-  /** Exact similarities for every edge, via degree-directed triangle
-    * enumeration — the dataflow analogue of the §6.1 optimization: each
-    * edge is oriented toward its higher-(degree, id) endpoint, wedges are
-    * enumerated at the low endpoint, and each triangle is found exactly
-    * once and contributes to its three edges.
+  /** Exact similarities for every edge: the §6.1 merge kernel over a
+    * broadcast degree-directed CSR, one vertex stripe per task (`EdgeSims`).
+    * Each triangle is found exactly once and contributes to its three edges.
     *
     * Returns (src, dst, sim) in canonical orientation.
     */
-  def similarities(canonical: DataFrame, measure: Measure): DataFrame = {
-    val edges = forMeasure(canonical, measure)
-    val deg   = GraphOps.degrees(edges)
-    val adj   = GraphOps.symmetrize(edges)
-
-    // Directed graph: keep (v -> nbr) iff (deg(v), v) < (deg(nbr), nbr).
-    val directed = adj
-      .join(deg.withColumnRenamed("v", "dv").withColumnRenamed("deg", "degv"), col("v") === col("dv"))
-      .join(deg.withColumnRenamed("v", "dn").withColumnRenamed("deg", "degn"), col("nbr") === col("dn"))
-      .filter(col("degv") < col("degn") || (col("degv") === col("degn") && col("v") < col("nbr")))
-      .select(col("v").as("a"), col("nbr").as("b"), col("weight").as("w"))
-
-    // Wedges at a: unordered out-neighbor pairs {b, c} with b < c.
-    val d1 = directed.select(col("a"), col("b"), col("w").as("wab"))
-    val d2 = directed.select(col("a").as("a2"), col("b").as("c"), col("w").as("wac"))
-    val wedges = d1
-      .join(d2, col("a") === col("a2") && col("b") < col("c"))
-      .select(col("a"), col("b"), col("c"), col("wab"), col("wac"))
-
-    // Close the triangle: edge {b, c} must exist (b < c matches canonical).
-    val tri = wedges.join(
-      edges.select(col("src").as("b2"), col("dst").as("c2"), col("weight").as("wbc")),
-      col("b") === col("b2") && col("c") === col("c2"))
-
-    // Each triangle (a, b, c) contributes the product of the other two
-    // edges' weights to each of its edges.
-    val contribs = tri.select(
-      explode(
-        array(
-          struct(
-            least(col("a"), col("b")).as("u"),
-            greatest(col("a"), col("b")).as("x"),
-            (col("wac") * col("wbc")).as("p")),
-          struct(
-            least(col("a"), col("c")).as("u"),
-            greatest(col("a"), col("c")).as("x"),
-            (col("wab") * col("wbc")).as("p")),
-          struct(col("b").as("u"), col("c").as("x"), (col("wab") * col("wac")).as("p"))
-        )).as("t"))
-      .select(col("t.u").as("u"), col("t.x").as("x"), col("t.p").as("p"))
-
-    val triDot = contribs.groupBy("u", "x").agg(sum("p").as("tridot"))
-
-    val withDot = edges
-      .join(triDot, edges("src") === triDot("u") && edges("dst") === triDot("x"), "left")
-      .select(
-        col("src"),
-        col("dst"),
-        (lit(2.0) * col("weight") + coalesce(col("tridot"), lit(0.0))).as("dot"))
-
-    finish(withDot, edges, measure)
-  }
+  def similarities(canonical: DataFrame, measure: Measure): DataFrame =
+    EdgeSims.exact(canonical, measure).similarities
 
   /** Exact similarities via a per-edge closed-neighborhood join — the
     * "hash table" flavor of Algorithm 1. Asymptotically worse shuffles on

@@ -1,7 +1,13 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.repro.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec, TestUtil}
+import repro.baseline.{SeqGraph, SeqScanIndex}
 import repro.graph.{GraphGen, GraphOps}
 
 class ScanIndexSpec extends SparkSpec {
@@ -115,5 +121,123 @@ class ScanIndexSpec extends SparkSpec {
   test("cores at eps=0 and mu=2 is every vertex with a neighbor") {
     val idx = ScanIndex.build(GraphGen.path(spark, 6), Similarity.Cosine)
     assert(TestUtil.vertexSet(ScanQuery.cores(idx, 2, 0.0)) == (0L to 5L).toSet)
+  }
+
+  // ------------------------------------------- Spark index vs buildOpt --
+
+  /** The Spark index's NO and CO equal the sequential index's arrays:
+    * neighbors and order exactly, similarities within `tol`.
+    */
+  private def assertSameIndex(idx: ScanIndex, seq: SeqScanIndex, tol: Double): Unit = {
+    val g = seq.g
+    def same(a: Double, b: Double) =
+      if (tol == 0.0) java.lang.Double.compare(a, b) == 0 else math.abs(a - b) <= tol
+    val no = idx.neighborOrder.collect().map(r => (r.getLong(0), r.getInt(1)) -> (r.getLong(2), r.getDouble(3))).toMap
+    val seqNo = for (v <- 0 until g.n; i <- seq.noNbr(v).indices)
+      yield (g.ids(v), i + 2) -> (g.ids(seq.noNbr(v)(i)), seq.noSim(v)(i))
+    assert(no.size == seqNo.size)
+    seqNo.foreach { case (k, (nbr, sim)) =>
+      assert(no.get(k).exists { case (n2, s2) => n2 == nbr && same(s2, sim) }, s"NO at $k: ${no.get(k)} vs ($nbr, $sim)")
+    }
+    val co = idx.coreOrder.collect().map(r => (r.getInt(0), r.getInt(1)) -> (r.getLong(2), r.getDouble(3))).toMap
+    val seqCo = for (mu <- 2 to seq.maxMu; i <- seq.coVert(mu).indices)
+      yield (mu, i + 1) -> (g.ids(seq.coVert(mu)(i)), seq.coThresh(mu)(i))
+    assert(co.size == seqCo.size)
+    seqCo.foreach { case (k, (v, t)) =>
+      assert(co.get(k).exists { case (v2, t2) => v2 == v && same(t2, t) }, s"CO at $k: ${co.get(k)} vs ($v, $t)")
+    }
+    assert(idx.maxMu == math.max(seq.maxMu, 1))
+  }
+
+  private def assertBuildMatchesBuildOpt(graph: DataFrame): Unit =
+    assertSameIndex(
+      ScanIndex.build(graph, Similarity.Cosine),
+      SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(graph), Similarity.Cosine),
+      0.0)
+
+  test("Spark index NO and CO equal buildOpt exactly on an unweighted RMAT graph") {
+    assertBuildMatchesBuildOpt(g)
+  }
+
+  test("Spark index NO and CO equal buildOpt with negative and near-Long.MaxValue ids") {
+    val remap = (c: String) =>
+      when(col(c) % 3 === 0, lit(Long.MaxValue) - col(c))
+        .when(col(c) % 3 === 1, lit(Long.MinValue) + col(c))
+        .otherwise(-col(c) * 7919)
+    val raw = GraphGen.rmat(spark, 7, 600, seed = 62)
+      .select(remap("src").as("src"), remap("dst").as("dst"), col("weight"))
+    val ids = GraphOps.canonicalize(raw).cache()
+    assert(ids.filter(col("src") < 0).count() > 0 && ids.filter(col("dst") > Long.MaxValue - 200).count() > 0)
+    assertBuildMatchesBuildOpt(ids)
+    ids.unpersist()
+  }
+
+  test("Spark index on a one-edge graph and on a graph without triangles") {
+    val one = GraphGen.fromEdges(spark, Seq((5L, 9L)))
+    assertBuildMatchesBuildOpt(one)
+    assert(ScanIndex.build(one, Similarity.Cosine).neighborOrder.collect().map(_.getDouble(3)).toSeq == Seq(1.0, 1.0))
+    // A tree: every dot is 2, so sims come from the norms alone.
+    assertBuildMatchesBuildOpt(GraphGen.fromEdges(spark, Seq((0L, 1L), (0L, 2L), (0L, 3L), (3L, 4L), (4L, 5L), (4L, 6L))))
+  }
+
+  test("an empty graph gives an empty index with maxMu 1") {
+    val idx = ScanIndex.build(GraphGen.fromEdges(spark, Seq.empty), Similarity.Cosine)
+    assert(idx.neighborOrder.count() == 0 && idx.coreOrder.count() == 0 && idx.degrees.count() == 0)
+    assert(idx.maxMu == 1)
+  }
+
+  test("fromSimilarities on a weighted graph equals buildOpt within 1e-9") {
+    val gw  = GraphGen.denseWeighted(spark, 60, 700, seed = 63).cache()
+    val idx = ScanIndex.fromSimilarities(gw, Similarity.similarities(gw, Similarity.Cosine))
+    assertSameIndex(idx, SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(gw), Similarity.Cosine), 1e-9)
+    gw.unpersist()
+  }
+
+  test("fromSimilarities rejects similarities that miss an edge") {
+    val sims = Similarity.similarities(g, Similarity.Cosine)
+    val e = intercept[IllegalArgumentException](ScanIndex.fromSimilarities(g, sims.limit(10)))
+    assert(e.getMessage.contains("no similarity"))
+  }
+
+  // ------------------------------------------------------ cache handling --
+
+  test("unpersist leaves a graph the caller cached cached, and frees one it cached") {
+    val mine = GraphGen.rmat(spark, 7, 500, seed = 64).cache()
+    mine.count()
+    val idx = ScanIndex.build(mine, Similarity.Cosine).cache().materialize()
+    idx.unpersist()
+    assert(mine.storageLevel != StorageLevel.NONE)
+    assert(idx.neighborOrder.storageLevel == StorageLevel.NONE)
+    mine.unpersist()
+
+    val theirs = GraphGen.rmat(spark, 7, 500, seed = 64)
+    val idx2 = ScanIndex.build(theirs, Similarity.Cosine).cache().materialize()
+    assert(theirs.storageLevel != StorageLevel.NONE)
+    idx2.unpersist()
+    assert(theirs.storageLevel == StorageLevel.NONE)
+  }
+
+  // -------------------------------------------------- structural gate ---
+
+  // The cap is the count this build measures on the test session (adaptive
+  // execution on, so each shuffle stage is a job of its own); the DataFrame
+  // wedge pipeline it replaced ran 33.
+  test("an exact build of RMAT-9 runs at most 17 Spark jobs") {
+    val graph = GraphGen.rmat(spark, 9, 2000, seed = 65).cache()
+    graph.count()
+    val jobs = new AtomicInteger()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = { jobs.incrementAndGet(); () }
+    }
+    val sc = spark.sparkContext
+    ListenerBusAccess.waitUntilEmpty(sc)
+    sc.addSparkListener(listener)
+    try {
+      val idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize()
+      ListenerBusAccess.waitUntilEmpty(sc)
+      info(s"${jobs.get} jobs")
+      assert(jobs.get <= 17, s"${jobs.get} Spark jobs")
+      idx.unpersist()
+    } finally { sc.removeSparkListener(listener); graph.unpersist() }
   }
 }
