@@ -1,9 +1,7 @@
 package repro.approx
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.core.{ScanIndex, Similarity}
-import repro.graph.GraphOps
+import repro.core.{EdgeSims, ScanIndex, Similarity}
 
 /** Approximate similarity computation with the §6.3 low-degree heuristic:
   *
@@ -15,8 +13,16 @@ import repro.graph.GraphOps
   * - sketches are built only for high-degree vertices that actually have an
   *   approximated edge (no sketches for vertices with no high-degree
   *   neighbor), matching §6.3.
+  *
+  * Both steps run over the broadcast driver CSR (`EdgeSims.approx`).
   */
 object ApproxSimilarity {
+
+  /** The §6.3 degree threshold t for k samples. */
+  private def threshold(measure: Similarity.Measure, k: Int): Long = measure match {
+    case Similarity.Cosine  => k.toLong
+    case Similarity.Jaccard => 3L * k / 2
+  }
 
   /** Per-edge (src, dst, sim) with LSH estimates on the dense part and
     * exact values elsewhere.
@@ -29,45 +35,8 @@ object ApproxSimilarity {
       canonical: DataFrame,
       measure: Similarity.Measure,
       k: Int,
-      seed: Long): DataFrame = {
-    val spark = canonical.sparkSession
-    val t: Long = measure match {
-      case Similarity.Cosine  => k.toLong
-      case Similarity.Jaccard => 3L * k / 2
-    }
-    val deg = GraphOps.degrees(canonical)
-    val withDegs = canonical
-      .join(deg.select(col("v").as("sv"), col("deg").as("ds")), col("src") === col("sv"))
-      .join(deg.select(col("v").as("dv"), col("deg").as("dd")), col("dst") === col("dv"))
-
-    val approxEdges = withDegs
-      .filter(col("ds") > t && col("dd") > t)
-      .select("src", "dst")
-    val exactEdges = withDegs
-      .filter(!(col("ds") > t && col("dd") > t))
-      .select("src", "dst")
-
-    val exactSims = Similarity.similaritiesForEdges(canonical, exactEdges, measure)
-
-    // Sketch only vertices incident to at least one approximated edge.
-    val sketchVerts = approxEdges
-      .select(col("src").as("v"))
-      .unionByName(approxEdges.select(col("dst").as("v")))
-      .distinct()
-    val closedAdj = GraphOps
-      .closedAdjacency(forMeasure(canonical, measure))
-      .join(sketchVerts, Seq("v"))
-
-    val approxSims = measure match {
-      case Similarity.Cosine =>
-        val sk = SimHash.sketches(spark, closedAdj, k, seed)
-        SimHash.similaritiesFromSketches(approxEdges, sk, k)
-      case Similarity.Jaccard =>
-        val sk = MinHashOPH.sketches(spark, closedAdj, k, seed)
-        MinHashOPH.similaritiesFromSketches(approxEdges, sk, k)
-    }
-    exactSims.unionByName(approxSims)
-  }
+      seed: Long): DataFrame =
+    EdgeSims.approx(canonical, measure, k, seed, threshold(measure, k)).similarities
 
   /** Build a full approximate SCAN index (Theorem 5.1's pipeline: sketch,
     * estimate, then the same neighbor-order/core-order construction).
@@ -77,7 +46,7 @@ object ApproxSimilarity {
       measure: Similarity.Measure,
       k: Int,
       seed: Long): ScanIndex =
-    ScanIndex.fromSimilarities(canonical, similarities(canonical, measure, k, seed))
+    ScanIndex.fromEdgeSims(EdgeSims.approx(canonical, measure, k, seed, threshold(measure, k)))
 
   /** Pure-LSH similarities for all edges, no heuristic — used by the
     * theorem-accuracy tests (Theorems 5.2/5.3 speak to the raw estimator).
@@ -86,22 +55,6 @@ object ApproxSimilarity {
       canonical: DataFrame,
       measure: Similarity.Measure,
       k: Int,
-      seed: Long): DataFrame = {
-    val spark = canonical.sparkSession
-    val closedAdj = GraphOps.closedAdjacency(forMeasure(canonical, measure))
-    measure match {
-      case Similarity.Cosine =>
-        val sk = SimHash.sketches(spark, closedAdj, k, seed)
-        SimHash.similaritiesFromSketches(canonical, sk, k)
-      case Similarity.Jaccard =>
-        val sk = MinHashOPH.sketches(spark, closedAdj, k, seed)
-        MinHashOPH.similaritiesFromSketches(canonical, sk, k)
-    }
-  }
-
-  private def forMeasure(canonical: DataFrame, measure: Similarity.Measure): DataFrame =
-    measure match {
-      case Similarity.Cosine  => canonical
-      case Similarity.Jaccard => canonical.select(col("src"), col("dst"), lit(1.0).as("weight"))
-    }
+      seed: Long): DataFrame =
+    EdgeSims.approx(canonical, measure, k, seed, t = -1).similarities
 }

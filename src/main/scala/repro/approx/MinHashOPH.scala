@@ -1,7 +1,6 @@
 package repro.approx
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import repro.baseline.SeqGraph
 import repro.util.Hashing
 
 /** One-permutation (k-partition) MinHash for approximate Jaccard
@@ -16,46 +15,35 @@ import repro.util.Hashing
   */
 object MinHashOPH {
 
-  /** Per-vertex k-bin sketches. `closedAdj` must contain the self rows. */
-  def sketches(spark: SparkSession, closedAdj: DataFrame, k: Int, seed: Long): DataFrame = {
-    import spark.implicits._
-    closedAdj
-      .select(col("v"), col("nbr"))
-      .as[(Long, Long)]
-      .groupByKey(_._1)
-      .mapGroups { (v, rows) =>
-        val sketch = Array.fill(k)(Long.MaxValue)
-        rows.foreach { case (_, x) =>
-          val h   = Hashing.combine(seed, x)
-          val bin = math.floorMod(h, k.toLong).toInt
-          // Shift to non-negative so Long.MaxValue is a safe "empty".
-          val hv = h >>> 1
-          if (hv < sketch(bin)) sketch(bin) = hv
-        }
-        (v, sketch)
-      }
-      .toDF("v", "sketch")
+  /** v's k-bin sketch of N̄(v): its CSR row plus v itself, hashed by
+    * original vertex id.
+    */
+  def sketch(g: SeqGraph, v: Int, k: Int, seed: Long): Array[Long] = {
+    val out = Array.fill(k)(Long.MaxValue)
+    def add(x: Long): Unit = {
+      val h   = Hashing.combine(seed, x)
+      val bin = math.floorMod(h, k.toLong).toInt
+      // Shift to non-negative so Long.MaxValue is a safe "empty".
+      val hv = h >>> 1
+      if (hv < out(bin)) out(bin) = hv
+    }
+    add(g.ids(v))
+    g.adj(v).foreach(x => add(g.ids(x)))
+    out
   }
 
-  /** Estimated Jaccard similarities for `edges` given vertex sketches. */
-  def similaritiesFromSketches(edges: DataFrame, sketchDf: DataFrame, k: Int): DataFrame = {
-    val est = udf { (a: Seq[Long], b: Seq[Long]) =>
-      var matched   = 0
-      var bothEmpty = 0
-      var i = 0
-      while (i < a.length) {
-        val x = a(i); val y = b(i)
-        if (x == Long.MaxValue && y == Long.MaxValue) bothEmpty += 1
-        else if (x == y) matched += 1
-        i += 1
-      }
-      val denom = a.length - bothEmpty
-      if (denom == 0) 0.0 else matched.toDouble / denom
+  /** Estimated Jaccard similarity of two k-bin sketches. */
+  def estimate(a: Array[Long], b: Array[Long]): Double = {
+    var matched   = 0
+    var bothEmpty = 0
+    var i = 0
+    while (i < a.length) {
+      val x = a(i); val y = b(i)
+      if (x == Long.MaxValue && y == Long.MaxValue) bothEmpty += 1
+      else if (x == y) matched += 1
+      i += 1
     }
-    edges
-      .select("src", "dst")
-      .join(sketchDf.select(col("v").as("skv"), col("sketch").as("ska")), col("src") === col("skv"))
-      .join(sketchDf.select(col("v").as("skw"), col("sketch").as("skb")), col("dst") === col("skw"))
-      .select(col("src"), col("dst"), est(col("ska"), col("skb")).as("sim"))
+    val denom = a.length - bothEmpty
+    if (denom == 0) 0.0 else matched.toDouble / denom
   }
 }

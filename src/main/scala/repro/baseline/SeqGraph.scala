@@ -47,6 +47,12 @@ final class SeqGraph(
     out
   }
 
+  /** Edge id of {u, v}, or -1 if it is not an edge. */
+  def eidOf(u: Int, v: Int): Int = {
+    val k = java.util.Arrays.binarySearch(adj(u), v)
+    if (k >= 0) eids(u)(k) else -1
+  }
+
   /** Weight lookup via binary search on the sorted adjacency list. */
   def weight(u: Int, v: Int): Double = {
     val i = java.util.Arrays.binarySearch(adj(u), v)

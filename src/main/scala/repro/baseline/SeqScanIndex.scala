@@ -144,7 +144,7 @@ object SeqScanIndex {
   def simsBasic(g: SeqGraph, measure: Similarity.Measure): mutable.LongMap[Double] = {
     val unweighted = measure == Similarity.Jaccard
     val nbrSets = Array.tabulate(g.n)(v => g.adj(v).toSet)
-    val norms   = normsOf(g, unweighted)
+    val norms   = normSquares(g, unweighted)
     val sims    = new mutable.LongMap[Double](2 * g.numEdges.toInt + 1)
     g.edges.foreach { case (u, v, w0) =>
       val w = if (unweighted) 1.0 else w0
@@ -239,17 +239,40 @@ object SeqScanIndex {
     */
   def simsByEdge(g: SeqGraph, measure: Similarity.Measure, tri: Array[Double]): Array[Double] = {
     val unweighted = measure == Similarity.Jaccard
-    val norms = normsOf(g, unweighted)
+    val norms = normSquares(g, unweighted)
     g.edges.zipWithIndex.map { case ((u, v, w), e) =>
       finish(g, measure, u, v, 2.0 * (if (unweighted) 1.0 else w) + tri(e), norms)
     }.toArray
   }
 
-  /** Squared norms; the final division uses sqrt(nsqU * nsqV) — the same
-    * floating-point expression as the Spark implementations, so unweighted
+  /** Exact similarity of the edge in u's adjacency slot k: Algorithm 1 for
+    * one edge, merging the sorted lists N(u) and N(v) for
+    * dot = 2·w(u,v) + Σ_{x ∈ N(u)∩N(v)} w(u,x)·w(v,x) and finishing it
+    * like `simsByEdge`, so unweighted values equal the kernel's bit for bit.
+    */
+  def edgeSim(g: SeqGraph, measure: Similarity.Measure, normSqs: Array[Double], u: Int, k: Int): Double = {
+    val unweighted = measure == Similarity.Jaccard
+    val v = g.adj(u)(k)
+    val (au, wu, av, wv) = (g.adj(u), g.wts(u), g.adj(v), g.wts(v))
+    var dot = 2.0 * (if (unweighted) 1.0 else wu(k))
+    var i = 0; var j = 0
+    while (i < au.length && j < av.length) {
+      val x = au(i); val y = av(j)
+      if (x == y) {
+        dot += (if (unweighted) 1.0 else wu(i) * wv(j))
+        i += 1; j += 1
+      } else if (x < y) i += 1
+      else j += 1
+    }
+    finish(g, measure, u, v, dot, normSqs)
+  }
+
+  /** Squared closed-neighborhood norms 1 + Σ w(v,x)² (all weights 1 when
+    * `unweighted`); the final division uses sqrt(nsqU * nsqV) — the same
+    * floating-point expression in every implementation, so unweighted
     * results are bit-identical across implementations.
     */
-  private def normsOf(g: SeqGraph, unweighted: Boolean): Array[Double] =
+  def normSquares(g: SeqGraph, unweighted: Boolean): Array[Double] =
     Array.tabulate(g.n) { v =>
       var s = 1.0
       val w = g.wts(v)

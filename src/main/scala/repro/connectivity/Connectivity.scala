@@ -2,7 +2,7 @@ package repro.connectivity
 
 import org.apache.spark.graphx.{Edge, Graph}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
 
@@ -10,8 +10,8 @@ import org.apache.spark.storage.StorageLevel
   *
   * The paper uses a parallel connectivity algorithm (Gazit / union-find in
   * the implementation). On Spark the vertex-centric analogue is GraphX's
-  * `connectedComponents` (primary, per the repro hint); a pure-DataFrame
-  * min-label propagation implementation cross-checks it in tests.
+  * `connectedComponents`, the distributed implementation; the query uses
+  * driver-side union-find (below), which tests cross-check against GraphX.
   *
   * Both return (v, component) where `component` is the minimum vertex id of
   * v's component — this canonical labeling is what makes cluster outputs
@@ -28,9 +28,8 @@ object Connectivity {
     * algorithm with union-find for query practicality. The core subgraph
     * of a query is far smaller than the graph (O(Z) of Theorem 4.3), so
     * collecting it avoids tens of Pregel supersteps of per-job scheduler
-    * overhead. Used as the default connectivity for clustering queries;
-    * cross-checked against the GraphX and DataFrame implementations in
-    * tests.
+    * overhead. The connectivity of every clustering query; cross-checked
+    * against GraphX in tests.
     */
   def connectedComponentsUnionFind(
       spark: SparkSession,
@@ -76,41 +75,5 @@ object Connectivity {
       vertexStorageLevel = StorageLevel.MEMORY_ONLY)
     val comps = graph.connectedComponents().vertices.map { case (v, c) => Row(v, c) }
     spark.createDataFrame(comps, outSchema)
-  }
-
-  /** Connected components via iterative DataFrame min-label propagation.
-    * Converges in O(diameter) rounds; lineage is truncated each round with
-    * localCheckpoint so Catalyst plans stay bounded.
-    */
-  def connectedComponentsDataFrame(
-      spark: SparkSession,
-      vertices: DataFrame,
-      edges: DataFrame,
-      maxIter: Int = 200): DataFrame = {
-    val sym = edges
-      .select(col("src").as("v"), col("dst").as("nbr"))
-      .unionByName(edges.select(col("dst").as("v"), col("src").as("nbr")))
-      .localCheckpoint()
-
-    var labels  = vertices.select(col("v"), col("v").as("component")).localCheckpoint()
-    var iter    = 0
-    var changed = 1L
-    while (changed > 0 && iter < maxIter) {
-      val msgs = sym
-        .join(labels.withColumnRenamed("v", "lv"), col("nbr") === col("lv"))
-        .groupBy("v")
-        .agg(min("component").as("nbrmin"))
-      val next = labels
-        .join(msgs, Seq("v"), "left")
-        .select(col("v"), least(col("component"), coalesce(col("nbrmin"), col("component"))).as("component"))
-        .localCheckpoint()
-      changed = next
-        .join(labels.withColumnRenamed("component", "old"), Seq("v"))
-        .filter(col("component") =!= col("old"))
-        .count()
-      labels = next
-      iter += 1
-    }
-    labels
   }
 }

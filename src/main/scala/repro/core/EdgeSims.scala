@@ -1,9 +1,13 @@
 package repro.core
 
+import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.StructType
+import repro.approx.{MinHashOPH, SimHash}
 import repro.baseline.{SeqGraph, SeqScanIndex}
+import scala.reflect.ClassTag
 
 /** Per-edge similarities by `SeqGraph.eids`, broadcast with their driver
   * graph. Every DataFrame read off them runs in p = defaultParallelism
@@ -13,28 +17,22 @@ import repro.baseline.{SeqGraph, SeqScanIndex}
 final class EdgeSims private (spark: SparkSession, graph: Broadcast[SeqGraph], sims: Broadcast[Array[Double]]) {
 
   /** (src, dst, sim) in canonical orientation. */
-  def similarities: DataFrame = perVertex("src LONG, dst LONG, sim DOUBLE") { (g, s, u) =>
-    g.adj(u).indices.iterator.filter(g.adj(u)(_) > u).map(k => Row(g.ids(u), g.ids(g.adj(u)(k)), s(g.eids(u)(k))))
+  def similarities: DataFrame = {
+    val bs = sims
+    EdgeSims.rows(spark, graph, "src LONG, dst LONG, sim DOUBLE") { (g, u) =>
+      EdgeSims.upper(g, u).map(k => Row(g.ids(u), g.ids(g.adj(u)(k)), bs.value(g.eids(u)(k))))
+    }
   }
 
   /** NO (v, rank, nbr, sim): each vertex sorts its own list with
     * `SeqGraph.neighborOrder`; ranks run 2..deg+1.
     */
-  def neighborOrder: DataFrame = perVertex("v LONG, rank INT, nbr LONG, sim DOUBLE") { (g, s, v) =>
-    val vs = g.eids(v).map(s(_))
-    g.neighborOrder(v, vs).iterator.zipWithIndex.map { case (k, i) => Row(g.ids(v), i + 2, g.ids(g.adj(v)(k)), vs(k)) }
-  }
-
-  /** Open degrees (v, deg). */
-  def degrees: DataFrame =
-    perVertex("v LONG, deg LONG")((g, _, v) => Iterator.single(Row(g.ids(v), g.degree(v).toLong)))
-
-  private def perVertex(schema: String)(rows: (SeqGraph, Array[Double], Int) => Iterator[Row]): DataFrame = {
-    val (bg, bs, p) = (graph, sims, spark.sparkContext.defaultParallelism)
-    val rdd = spark.sparkContext.parallelize(0 until p, p).flatMap { i =>
-      Iterator.range(i, bg.value.n, p).flatMap(rows(bg.value, bs.value, _))
+  def neighborOrder: DataFrame = {
+    val bs = sims
+    EdgeSims.rows(spark, graph, "v LONG, rank INT, nbr LONG, sim DOUBLE") { (g, v) =>
+      val vs = g.eids(v).map(bs.value(_))
+      g.neighborOrder(v, vs).iterator.zipWithIndex.map { case (k, i) => Row(g.ids(v), i + 2, g.ids(g.adj(v)(k)), vs(k)) }
     }
-    spark.createDataFrame(rdd, StructType.fromDDL(schema))
   }
 }
 
@@ -55,6 +53,55 @@ object EdgeSims {
     new EdgeSims(spark, bg, spark.sparkContext.broadcast(SeqScanIndex.simsByEdge(g, measure, tri)))
   }
 
+  /** LSH similarities (§5) on the edges whose endpoints both have degree
+    * above `t`, exact ones elsewhere (§6.3), over the broadcast CSR in two
+    * stripe passes:
+    *
+    * 1. sketch each vertex above t that has a neighbor above t — SimHash
+    *    for cosine, one-permutation MinHash for Jaccard — and broadcast the
+    *    sketches (each is smaller than its vertex's adjacency, as t ≥ k);
+    * 2. give each edge with two sketched endpoints its estimate, and every
+    *    other edge its exact value by the per-edge merge
+    *    (`SeqScanIndex.edgeSim`).
+    */
+  def approx(canonical: DataFrame, measure: Similarity.Measure, k: Int, seed: Long, t: Long): EdgeSims = {
+    val (spark, g) = (canonical.sparkSession, SeqGraph.fromDataFrame(canonical))
+    val (sc, bg) = (spark.sparkContext, spark.sparkContext.broadcast(g))
+    val (sketch, estimate): ((SeqGraph, Int) => Array[Long], (Array[Long], Array[Long]) => Double) = measure match {
+      case Similarity.Cosine  => (SimHash.sketch(_, _, k, seed), SimHash.estimate(_, _, k))
+      case Similarity.Jaccard => (MinHashOPH.sketch(_, _, k, seed), MinHashOPH.estimate)
+    }
+    val sketches = new Array[Array[Long]](g.n)
+    stripes(sc, bg) { (g, v) =>
+      if (g.degree(v) > t && g.adj(v).exists(g.degree(_) > t)) Iterator.single(v -> sketch(g, v)) else Iterator.empty
+    }.collect().foreach { case (v, s) => sketches(v) = s }
+    val (bsk, bn) = (sc.broadcast(sketches), sc.broadcast(normSquares(g, measure)))
+    val sims = new Array[Double](g.numEdges.toInt)
+    stripes(sc, bg) { (g, u) =>
+      val sk = bsk.value
+      upper(g, u).map { slot =>
+        val v = g.adj(u)(slot)
+        g.eids(u)(slot) ->
+          (if (sk(u) != null && sk(v) != null) estimate(sk(u), sk(v)) else SeqScanIndex.edgeSim(g, measure, bn.value, u, slot))
+      }
+    }.collect().foreach { case (e, s) => sims(e) = s }
+    new EdgeSims(spark, bg, sc.broadcast(sims))
+  }
+
+  /** Exact (src, dst, sim) for the edges in `subset` (src, dst), each by the
+    * per-edge merge over the broadcast CSR.
+    */
+  def forEdges(canonical: DataFrame, subset: DataFrame, measure: Similarity.Measure): DataFrame = {
+    val (spark, g) = (canonical.sparkSession, SeqGraph.fromDataFrame(canonical))
+    val keep = new java.util.BitSet(g.numEdges.toInt)
+    subset.select("src", "dst").collect().foreach(r => keep.set(eidOf(g, r.getLong(0), r.getLong(1))))
+    val (bg, bn) = (spark.sparkContext.broadcast(g), spark.sparkContext.broadcast(normSquares(g, measure)))
+    rows(spark, bg, "src LONG, dst LONG, sim DOUBLE") { (g, u) =>
+      upper(g, u).filter(k => keep.get(g.eids(u)(k)))
+        .map(k => Row(g.ids(u), g.ids(g.adj(u)(k)), SeqScanIndex.edgeSim(g, measure, bn.value, u, k)))
+    }
+  }
+
   /** Given (src, dst, sim) for every edge, e.g. approximate ones: collect
     * both the graph and the similarities, by edge id.
     */
@@ -62,12 +109,32 @@ object EdgeSims {
     val (spark, g) = (canonical.sparkSession, SeqGraph.fromDataFrame(canonical))
     val (sims, seen) = (new Array[Double](g.numEdges.toInt), new java.util.BitSet)
     simsDf.select("src", "dst", "sim").collect().foreach { r =>
-      val u = g.idOf(r.getLong(0))
-      val k = java.util.Arrays.binarySearch(g.adj(u), g.idOf(r.getLong(1)))
-      require(k >= 0 && !seen.get(g.eids(u)(k)), s"similarities: (${r.getLong(0)}, ${r.getLong(1)}) is not an edge, or repeats")
-      seen.set(g.eids(u)(k)); sims(g.eids(u)(k)) = r.getDouble(2)
+      val e = eidOf(g, r.getLong(0), r.getLong(1))
+      require(!seen.get(e), s"similarities: (${r.getLong(0)}, ${r.getLong(1)}) repeats")
+      seen.set(e); sims(e) = r.getDouble(2)
     }
     require(seen.cardinality == sims.length, "similarities: some edge has no similarity")
     new EdgeSims(spark, spark.sparkContext.broadcast(g), spark.sparkContext.broadcast(sims))
   }
+
+  private def eidOf(g: SeqGraph, src: Long, dst: Long): Int = {
+    val e = g.eidOf(g.idOf(src), g.idOf(dst))
+    require(e >= 0, s"similarities: ($src, $dst) is not an edge")
+    e
+  }
+
+  private def normSquares(g: SeqGraph, measure: Similarity.Measure): Array[Double] =
+    SeqScanIndex.normSquares(g, measure == Similarity.Jaccard)
+
+  /** u's adjacency slots that hold its canonical edges {u, v > u}. */
+  private def upper(g: SeqGraph, u: Int): Iterator[Int] = g.adj(u).indices.iterator.filter(g.adj(u)(_) > u)
+
+  /** One task per vertex stripe v ≡ i (mod p), p = defaultParallelism. */
+  private def stripes[T: ClassTag](sc: SparkContext, bg: Broadcast[SeqGraph])(f: (SeqGraph, Int) => Iterator[T]): RDD[T] = {
+    val p = sc.defaultParallelism
+    sc.parallelize(0 until p, p).flatMap(i => Iterator.range(i, bg.value.n, p).flatMap(f(bg.value, _)))
+  }
+
+  private def rows(spark: SparkSession, bg: Broadcast[SeqGraph], schema: String)(f: (SeqGraph, Int) => Iterator[Row]): DataFrame =
+    spark.createDataFrame(stripes(spark.sparkContext, bg)(f), StructType.fromDDL(schema))
 }

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
 
 /** The GS*-Index structure (§3.2 / §4.1, Algorithm 2) as DataFrames.
   *
@@ -22,22 +21,15 @@ import org.apache.spark.storage.StorageLevel
   * NO[v] ranks ≤ some cut, and the (μ, ε)-cores are a prefix of CO[μ].
   */
 final case class ScanIndex(
-    edges: DataFrame,
-    degrees: DataFrame,
     similarities: DataFrame,
     neighborOrder: DataFrame,
     coreOrder: DataFrame) {
-
-  // `edges` is the caller's graph: release it only if `cache()` cached it.
-  private var cachedEdges = false
 
   /** Cache all index DataFrames (index construction is the expensive
     * precomputation; queries must not recompute it).
     */
   def cache(): ScanIndex = {
-    cachedEdges = cachedEdges || edges.storageLevel == StorageLevel.NONE
-    edges.cache(); degrees.cache(); similarities.cache()
-    neighborOrder.cache(); coreOrder.cache()
+    similarities.cache(); neighborOrder.cache(); coreOrder.cache()
     this
   }
 
@@ -52,16 +44,12 @@ final case class ScanIndex(
   def materialize(): ScanIndex = {
     coreOrder.count()
     neighborOrder.count(); similarities.count()
-    edges.count(); degrees.count()
     this
   }
 
-  /** Release what `cache()` cached; a graph the caller cached stays cached. */
+  /** Release what `cache()` cached. */
   def unpersist(): Unit = {
-    if (cachedEdges) edges.unpersist()
-    cachedEdges = false
-    degrees.unpersist(); similarities.unpersist()
-    neighborOrder.unpersist(); coreOrder.unpersist()
+    similarities.unpersist(); neighborOrder.unpersist(); coreOrder.unpersist()
   }
 
   /** Largest μ for which any vertex can be a core (= max |N̄(v)|); 1 for
@@ -76,25 +64,21 @@ final case class ScanIndex(
 object ScanIndex {
 
   /** Build the full index for a canonical graph under `measure`. */
-  def build(canonical: DataFrame, measure: Similarity.Measure): ScanIndex = {
-    val sims = EdgeSims.exact(canonical, measure)
-    assemble(canonical, sims, sims.similarities)
-  }
+  def build(canonical: DataFrame, measure: Similarity.Measure): ScanIndex =
+    fromEdgeSims(EdgeSims.exact(canonical, measure))
 
-  /** Build the index from precomputed per-edge similarities (used by the
-    * approximate variants, which only change how sims are produced — §5).
-    * The index keeps `sims` as its `similarities`, so `unpersist` releases
-    * it with the rest of the index. It is cached before the collect, so a
-    * costly producer (the LSH pipeline) runs once, not again when the
-    * index is materialized.
+  /** Build the index from precomputed per-edge similarities. The index
+    * keeps `sims` as its `similarities`, so `unpersist` releases it with
+    * the rest of the index. It is cached before the collect, so a costly
+    * producer runs once, not again when the index is materialized.
     */
   def fromSimilarities(canonical: DataFrame, sims: DataFrame): ScanIndex =
-    assemble(canonical, EdgeSims.collect(canonical, sims.cache()), sims)
+    fromEdgeSims(EdgeSims.collect(canonical, sims.cache())).copy(similarities = sims)
 
   /** NO written per vertex; CO one window over NO: row (μ, ·, v, t) for
     * every NO row (v, μ, ·, t), ranked within μ by descending threshold.
     */
-  private def assemble(canonical: DataFrame, sims: EdgeSims, simsDf: DataFrame): ScanIndex = {
+  def fromEdgeSims(sims: EdgeSims): ScanIndex = {
     val no = sims.neighborOrder
     val co = no
       .select(col("rank").as("mu"), col("v"), col("sim").as("threshold"))
@@ -102,6 +86,6 @@ object ScanIndex {
         "coreRank",
         row_number().over(Window.partitionBy("mu").orderBy(desc("threshold"), asc("v"))))
       .select("mu", "coreRank", "v", "threshold")
-    ScanIndex(canonical, sims.degrees, simsDf, no, co)
+    ScanIndex(sims.similarities, no, co)
   }
 }

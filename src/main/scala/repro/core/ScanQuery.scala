@@ -24,12 +24,7 @@ object ScanQuery {
   }
 
   /** Cluster (Algorithm 5): full clustering for (μ, ε) as (v, cluster). */
-  def cluster(
-      index: ScanIndex,
-      mu: Int,
-      eps: Double,
-      connectivity: (SparkSession, DataFrame, DataFrame) => DataFrame =
-        Connectivity.connectedComponentsUnionFind): DataFrame = {
+  def cluster(index: ScanIndex, mu: Int, eps: Double): DataFrame = {
     val coresDf = cores(index, mu, eps)
     // ε-similar edges incident on cores — the NO-prefix retrieval of
     // Algorithm 5 line 4 (the index's sort order makes this a prefix; the
@@ -38,7 +33,7 @@ object ScanQuery {
       .filter(col("sim") >= eps)
       .join(coresDf, Seq("v"))
       .select(col("v"), col("nbr"), col("sim"))
-    clusterFrom(index.edges.sparkSession, coresDf, simEdges, connectivity)
+    clusterFrom(index.neighborOrder.sparkSession, coresDf, simEdges)
   }
 
   /** Shared clustering tail used by both the index query and the
@@ -46,12 +41,7 @@ object ScanQuery {
     * incident on cores (v = core, nbr = any neighbor), compute components
     * on the core-core subgraph and attach border vertices.
     */
-  def clusterFrom(
-      spark: SparkSession,
-      coresDf: DataFrame,
-      simEdges: DataFrame,
-      connectivity: (SparkSession, DataFrame, DataFrame) => DataFrame =
-        Connectivity.connectedComponentsUnionFind): DataFrame = {
+  def clusterFrom(spark: SparkSession, coresDf: DataFrame, simEdges: DataFrame): DataFrame = {
     val coreSet = coresDf.select(col("v")).distinct()
 
     // Core-core ε-similar edges (each appears once, canonical orientation).
@@ -61,7 +51,7 @@ object ScanQuery {
       .select(col("v").as("src"), col("nbr").as("dst"))
 
     // Every core belongs to a cluster (possibly a singleton).
-    val comp = connectivity(spark, coreSet, coreCore)
+    val comp = Connectivity.connectedComponentsUnionFind(spark, coreSet, coreCore)
 
     // Border vertices: non-core ε-similar neighbors of cores; deterministic
     // assignment to the most similar core (Algorithm 4, de-randomized).

@@ -9,8 +9,6 @@ import org.apache.spark.sql.functions._
   *   - canonical edges: (src: Long, dst: Long, weight: Double), src < dst,
   *     no self-loops, no duplicate edges; weight = 1.0 for unweighted graphs.
   *   - symmetric adjacency: (v, nbr, weight), both directions of every edge.
-  *   - closed adjacency: symmetric adjacency plus (v, v, 1.0) rows — the
-  *     paper's closed neighborhood N̄(v) with w(x, x) = 1.
   */
 object GraphOps {
 
@@ -44,11 +42,6 @@ object GraphOps {
   /** Open degrees |N(v)|: (v, deg). Vertices with degree 0 do not appear. */
   def degrees(canonical: DataFrame): DataFrame =
     symmetrize(canonical).groupBy("v").agg(count(lit(1)).as("deg"))
-
-  /** Closed adjacency N̄(v) with the self-row (v, v, 1.0). */
-  def closedAdjacency(canonical: DataFrame): DataFrame =
-    symmetrize(canonical).unionByName(
-      vertices(canonical).select(col("v"), col("v").as("nbr"), lit(1.0).as("weight")))
 
   /** Number of edges. */
   def numEdges(canonical: DataFrame): Long = canonical.count()

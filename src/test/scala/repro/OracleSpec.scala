@@ -2,8 +2,8 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Sanity checks for the provided harness pieces (Oracle, SynthData) so a
-  * broken oracle cannot silently bless wrong results.
+/** Sanity checks for the DuckDB oracle so a broken oracle cannot silently
+  * bless wrong results.
   */
 class OracleSpec extends SparkSpec {
   import spark.implicits._
@@ -34,23 +34,5 @@ class OracleSpec extends SparkSpec {
         "SELECT k FROM t",
         "t" -> df)
     }
-  }
-
-  test("SynthData lineitem is deterministic in (sf, seed)") {
-    val a = SynthData.lineitem(spark, 0.001, seed = 5).agg(sum("l_orderkey")).collect()(0).getLong(0)
-    val b = SynthData.lineitem(spark, 0.001, seed = 5).agg(sum("l_orderkey")).collect()(0).getLong(0)
-    assert(a == b)
-  }
-
-  test("SynthData orders keys are dense 1..n") {
-    val n = SynthData.orders(spark, 0.001).count()
-    val mx = SynthData.orders(spark, 0.001).agg(max("o_orderkey")).collect()(0).getLong(0)
-    assert(mx == n)
-  }
-
-  test("SynthData zipfKeys are skewed toward small keys") {
-    val df = SynthData.zipfKeys(spark, 20000, 1000)
-    val topShare = df.filter(col("k") <= 10).count().toDouble / 20000
-    assert(topShare > 0.3, s"topShare=$topShare")
   }
 }

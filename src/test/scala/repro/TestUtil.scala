@@ -1,12 +1,28 @@
 package repro
 
-import org.apache.spark.sql.DataFrame
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.repro.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Shared helpers for the test suites: DataFrame → driver-side maps and
   * the DuckDB oracle SQL used to cross-check every relational quantity of
   * the SCAN pipeline (see DESIGN.md "Correctness strategy").
   */
 object TestUtil {
+
+  /** Number of Spark jobs `body` starts, for structural gates. */
+  def sparkJobs(spark: SparkSession)(body: => Unit): Int = {
+    val jobs = new AtomicInteger()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = { jobs.incrementAndGet(); () }
+    }
+    val sc = spark.sparkContext
+    ListenerBusAccess.waitUntilEmpty(sc)
+    sc.addSparkListener(listener)
+    try { body; ListenerBusAccess.waitUntilEmpty(sc); jobs.get }
+    finally sc.removeSparkListener(listener)
+  }
 
   /** (src, dst, sim) DataFrame → map keyed by canonical (src, dst). */
   def simsToMap(df: DataFrame): Map[(Long, Long), Double] =

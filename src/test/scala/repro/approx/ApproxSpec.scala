@@ -2,6 +2,7 @@ package repro.approx
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
+import repro.baseline.SeqGraph
 import repro.core.{ScanIndex, ScanQuery, Similarity}
 import repro.graph.{GraphGen, GraphOps}
 
@@ -24,11 +25,9 @@ class ApproxSpec extends SparkSpec {
   }
 
   test("SimHash sketch has k bits packed into ceil(k/64) longs") {
-    val g  = GraphGen.path(spark, 4)
-    val sk = SimHash.sketches(spark, GraphOps.closedAdjacency(g), 130, seed = 2)
-    val rows = sk.collect()
-    assert(rows.length == 4)
-    rows.foreach(r => assert(r.getSeq[Long](1).length == 3))
+    val g = SeqGraph.fromDataFrame(GraphGen.path(spark, 4))
+    assert(g.n == 4)
+    (0 until g.n).foreach(v => assert(SimHash.sketch(g, v, 130, seed = 2).length == 3))
   }
 
   test("SimHash estimate of identical neighborhoods is 1 (twins in K3)") {
@@ -134,6 +133,20 @@ class ApproxSpec extends SparkSpec {
     TestUtil.assertSimsEqual(approx2, exact2, 0.0)
   }
 
+  test("heuristic on a weighted graph: fallback edges equal exact sims, sketched ones lie in [-1, 1]") {
+    val g   = GraphGen.erdosRenyi(spark, 80, 600, seed = 28, weighted = true).cache()
+    val deg = GraphOps.degrees(g).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val k   = deg.values.toSeq.sorted.apply(deg.size / 2).toInt // median degree
+    val exact  = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Cosine))
+    val approx = TestUtil.simsToMap(ApproxSimilarity.similarities(g, Similarity.Cosine, k, seed = 29))
+    assert(approx.keySet == exact.keySet)
+    val (fallback, sketched) = exact.keySet.partition { case (u, v) => deg(u) <= k || deg(v) <= k }
+    assert(fallback.nonEmpty && sketched.nonEmpty, s"k=$k: ${fallback.size} fallback, ${sketched.size} sketched")
+    fallback.foreach(e => assert(math.abs(approx(e) - exact(e)) <= 1e-9, s"fallback edge $e"))
+    sketched.foreach(e => assert(approx(e) >= -1.0 && approx(e) <= 1.0, s"sketched edge $e: ${approx(e)}"))
+    g.unpersist()
+  }
+
   test("approximate similarities cover every edge exactly once") {
     val g = GraphGen.denseWeighted(spark, 80, 1200, seed = 26)
     val df = ApproxSimilarity.similarities(g, Similarity.Cosine, 16, seed = 27)
@@ -166,6 +179,19 @@ class ApproxSpec extends SparkSpec {
     assert(total.isEmpty || common.size.toDouble / total.size >= 0.9,
       s"clustered-set agreement too low: ${common.size}/${total.size}")
     exact.unpersist(); approxIdx.unpersist()
+  }
+
+  // The cap is the count this build measures on the test session (collect
+  // the graph, sketch, estimate, then NO/CO); the DataFrame sketch/join
+  // pipeline it replaced ran 65.
+  test("an approximate SimHash build of a dense weighted graph runs at most 13 Spark jobs") {
+    val g = GraphGen.denseWeighted(spark, 60, 1200, seed = 37).cache()
+    g.count()
+    var idx: ScanIndex = null
+    val jobs = TestUtil.sparkJobs(spark) { idx = ApproxSimilarity.buildIndex(g, Similarity.Cosine, 32, seed = 38).cache().materialize() }
+    info(s"$jobs jobs")
+    assert(jobs <= 13, s"$jobs Spark jobs")
+    idx.unpersist(); g.unpersist()
   }
 
   test("approximate index neighbor order is still rank-contiguous") {

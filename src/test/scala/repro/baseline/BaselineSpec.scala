@@ -126,6 +126,17 @@ class BaselineSpec extends SparkSpec {
     GraphGen.denseWeighted(spark, 60, 700, seed = 86),
     Seq((2, 0.5), (4, 0.7)))
 
+  // The cap is the count this query measures on the test session; with the
+  // closed-neighborhood join in similaritiesForEdges it ran 267.
+  test("a ppSCAN-like query on figureLike runs at most 24 Spark jobs") {
+    val g = GraphGen.figureLike(spark).cache()
+    g.count()
+    val jobs = TestUtil.sparkJobs(spark)(PpScan.cluster(g, Similarity.Cosine, 3, 0.8).collect())
+    info(s"$jobs jobs")
+    assert(jobs <= 24, s"$jobs Spark jobs")
+    g.unpersist()
+  }
+
   test("ppSCAN-like on jaccard equals the jaccard index query") {
     val g     = GraphGen.rmat(spark, 9, 1800, seed = 87).cache()
     val index = ScanIndex.build(g, Similarity.Jaccard).cache()

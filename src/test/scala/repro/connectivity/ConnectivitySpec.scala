@@ -14,7 +14,6 @@ class ConnectivitySpec extends SparkSpec {
   private val impls: Seq[(String, (org.apache.spark.sql.SparkSession, DataFrame, DataFrame) => DataFrame)] =
     Seq(
       "GraphX"    -> Connectivity.connectedComponentsGraphX,
-      "DataFrame" -> (Connectivity.connectedComponentsDataFrame(_, _, _)),
       "UnionFind" -> Connectivity.connectedComponentsUnionFind)
 
   private def run(vertices: Seq[Long], edges: Seq[(Long, Long)],
@@ -51,14 +50,12 @@ class ConnectivitySpec extends SparkSpec {
     }
   }
 
-  test("GraphX, DataFrame, and UnionFind implementations agree on random graphs") {
+  test("GraphX and UnionFind implementations agree on random graphs") {
     for (seed <- 1 to 4) {
       val g = GraphGen.erdosRenyi(spark, 300, 350, seed = seed.toLong) // sparse → many components
       val v = GraphOps.vertices(g)
       val a = compsOf(Connectivity.connectedComponentsGraphX(spark, v, g))
-      val b = compsOf(Connectivity.connectedComponentsDataFrame(spark, v, g))
       val c = compsOf(Connectivity.connectedComponentsUnionFind(spark, v, g))
-      assert(a == b, s"seed=$seed graphx-vs-df")
       assert(a == c, s"seed=$seed graphx-vs-unionfind")
     }
   }
@@ -77,15 +74,6 @@ class ConnectivitySpec extends SparkSpec {
     val v = GraphOps.vertices(g)
     Oracle.assertEquivalent(
       Connectivity.connectedComponentsGraphX(spark, v, g).select("v", "component"),
-      TestUtil.componentsSql,
-      "edges" -> g)
-  }
-
-  test("DataFrame components match the DuckDB recursive-CTE oracle") {
-    val g = GraphGen.erdosRenyi(spark, 40, 35, seed = 98)
-    val v = GraphOps.vertices(g)
-    Oracle.assertEquivalent(
-      Connectivity.connectedComponentsDataFrame(spark, v, g).select("v", "component"),
       TestUtil.componentsSql,
       "edges" -> g)
   }

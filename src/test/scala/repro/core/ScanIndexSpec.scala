@@ -1,8 +1,5 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.repro.ListenerBusAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
@@ -19,7 +16,7 @@ class ScanIndexSpec extends SparkSpec {
     val bad = index.neighborOrder
       .groupBy("v")
       .agg(min("rank").as("lo"), max("rank").as("hi"), count(lit(1)).as("c"))
-      .join(index.degrees, Seq("v"))
+      .join(GraphOps.degrees(g), Seq("v"))
       .filter(col("lo") =!= 2 || col("hi") =!= col("deg") + 1 || col("c") =!= col("deg"))
     assert(bad.count() == 0)
   }
@@ -48,7 +45,7 @@ class ScanIndexSpec extends SparkSpec {
 
   test("core order has one row per (vertex, mu) with |N̄(v)| >= mu") {
     // Row count = Σ_v deg(v) (mu ranges 2..deg+1).
-    val expected = index.degrees.agg(sum("deg")).collect()(0).getLong(0)
+    val expected = GraphOps.degrees(g).agg(sum("deg")).collect()(0).getLong(0)
     assert(index.coreOrder.count() == expected)
   }
 
@@ -78,7 +75,7 @@ class ScanIndexSpec extends SparkSpec {
   }
 
   test("maxMu equals the maximum closed degree") {
-    val maxDeg = index.degrees.agg(max("deg")).collect()(0).getLong(0)
+    val maxDeg = GraphOps.degrees(g).agg(max("deg")).collect()(0).getLong(0)
     assert(index.maxMu == maxDeg + 1)
   }
 
@@ -182,7 +179,7 @@ class ScanIndexSpec extends SparkSpec {
 
   test("an empty graph gives an empty index with maxMu 1") {
     val idx = ScanIndex.build(GraphGen.fromEdges(spark, Seq.empty), Similarity.Cosine)
-    assert(idx.neighborOrder.count() == 0 && idx.coreOrder.count() == 0 && idx.degrees.count() == 0)
+    assert(idx.neighborOrder.count() == 0 && idx.coreOrder.count() == 0 && idx.similarities.count() == 0)
     assert(idx.maxMu == 1)
   }
 
@@ -201,7 +198,7 @@ class ScanIndexSpec extends SparkSpec {
 
   // ------------------------------------------------------ cache handling --
 
-  test("unpersist leaves a graph the caller cached cached, and frees one it cached") {
+  test("unpersist leaves a graph the caller cached cached") {
     val mine = GraphGen.rmat(spark, 7, 500, seed = 64).cache()
     mine.count()
     val idx = ScanIndex.build(mine, Similarity.Cosine).cache().materialize()
@@ -209,12 +206,6 @@ class ScanIndexSpec extends SparkSpec {
     assert(mine.storageLevel != StorageLevel.NONE)
     assert(idx.neighborOrder.storageLevel == StorageLevel.NONE)
     mine.unpersist()
-
-    val theirs = GraphGen.rmat(spark, 7, 500, seed = 64)
-    val idx2 = ScanIndex.build(theirs, Similarity.Cosine).cache().materialize()
-    assert(theirs.storageLevel != StorageLevel.NONE)
-    idx2.unpersist()
-    assert(theirs.storageLevel == StorageLevel.NONE)
   }
 
   // -------------------------------------------------- structural gate ---
@@ -225,19 +216,10 @@ class ScanIndexSpec extends SparkSpec {
   test("an exact build of RMAT-9 runs at most 17 Spark jobs") {
     val graph = GraphGen.rmat(spark, 9, 2000, seed = 65).cache()
     graph.count()
-    val jobs = new AtomicInteger()
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = { jobs.incrementAndGet(); () }
-    }
-    val sc = spark.sparkContext
-    ListenerBusAccess.waitUntilEmpty(sc)
-    sc.addSparkListener(listener)
-    try {
-      val idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize()
-      ListenerBusAccess.waitUntilEmpty(sc)
-      info(s"${jobs.get} jobs")
-      assert(jobs.get <= 17, s"${jobs.get} Spark jobs")
-      idx.unpersist()
-    } finally { sc.removeSparkListener(listener); graph.unpersist() }
+    var idx: ScanIndex = null
+    val jobs = TestUtil.sparkJobs(spark) { idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize() }
+    info(s"$jobs jobs")
+    assert(jobs <= 17, s"$jobs Spark jobs")
+    idx.unpersist(); graph.unpersist()
   }
 }

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.baseline.{SeqGraph, SeqScan}
-import repro.connectivity.Connectivity
 import repro.graph.GraphGen
 
 class ScanQuerySpec extends SparkSpec {
@@ -124,19 +123,6 @@ class ScanQuerySpec extends SparkSpec {
   checkAgainstSeqScan("er-200", GraphGen.erdosRenyi(spark, 200, 1400, seed = 72), weighted = false, grid)
   checkAgainstSeqScan("dense-weighted-80", GraphGen.denseWeighted(spark, 80, 1000, seed = 73), weighted = true, grid)
   checkAgainstSeqScan("planted-90", GraphGen.plantedPartition(spark, 90, 3, 0.5, 0.02, seed = 74), weighted = false, grid)
-
-  test("index query with DataFrame connectivity equals GraphX connectivity") {
-    val g   = GraphGen.rmat(spark, 9, 2500, seed = 75)
-    val idx = ScanIndex.build(g, Similarity.Cosine).cache()
-    for ((mu, eps) <- Seq((2, 0.4), (3, 0.6), (5, 0.5))) {
-      val a = TestUtil.clustersToMap(
-        ScanQuery.cluster(idx, mu, eps, Connectivity.connectedComponentsGraphX))
-      val b = TestUtil.clustersToMap(
-        ScanQuery.cluster(idx, mu, eps, Connectivity.connectedComponentsDataFrame(_, _, _)))
-      assert(a == b)
-    }
-    idx.unpersist()
-  }
 
   // ----------------------------------- hubs/outliers against the oracle --
 

@@ -121,6 +121,8 @@ class SimilaritySpec extends SparkSpec {
   }
 
   // ------------------------------------------- directed vs naive vs seq --
+  // "naive" is Algorithm 1 per edge (`similaritiesForEdges` over every
+  // edge): a per-edge merge, not the directed triangle kernel.
 
   for ((name, gen, weighted) <- Seq(
       ("figureLike", () => GraphGen.figureLike(spark), false),
@@ -133,7 +135,7 @@ class SimilaritySpec extends SparkSpec {
       val tol = if (weighted) 1e-9 else 0.0
       TestUtil.assertSimsEqual(
         TestUtil.simsToMap(Similarity.similarities(g, Similarity.Cosine)),
-        TestUtil.simsToMap(Similarity.similaritiesNaive(g, Similarity.Cosine)),
+        TestUtil.simsToMap(Similarity.similaritiesForEdges(g, g, Similarity.Cosine)),
         tol)
     }
 
@@ -159,7 +161,7 @@ class SimilaritySpec extends SparkSpec {
     val g  = GraphGen.rmat(spark, 9, 2000, seed = 44)
     val sg = SeqGraph.fromDataFrame(g)
     val a  = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Jaccard))
-    val b  = TestUtil.simsToMap(Similarity.similaritiesNaive(g, Similarity.Jaccard))
+    val b  = TestUtil.simsToMap(Similarity.similaritiesForEdges(g, g, Similarity.Jaccard))
     TestUtil.assertSimsEqual(a, b, 0.0)
     val basic = SeqScanIndex.simsBasic(sg, Similarity.Jaccard)
     a.foreach { case ((u, v), s) =>
@@ -180,14 +182,6 @@ class SimilaritySpec extends SparkSpec {
     sub.foreach { case (k, v) => assert(v == full(k), s"subset mismatch at $k") }
   }
 
-  test("similaritiesForEdges with the full edge set equals similaritiesNaive") {
-    val g = GraphGen.erdosRenyi(spark, 100, 600, seed = 52)
-    TestUtil.assertSimsEqual(
-      TestUtil.simsToMap(Similarity.similaritiesForEdges(g, g.select("src", "dst"), Similarity.Cosine)),
-      TestUtil.simsToMap(Similarity.similaritiesNaive(g, Similarity.Cosine)),
-      0.0)
-  }
-
   test("jaccard ignores weights (weighted graph treated as unweighted)") {
     val gw = GraphGen.denseWeighted(spark, 40, 300, seed = 53)
     val gu = gw.select(col("src"), col("dst"), lit(1.0).as("weight"))
@@ -199,9 +193,10 @@ class SimilaritySpec extends SparkSpec {
 
   test("normSquares: 1 + sum of squared weights") {
     val g = GraphGen.fromWeightedEdges(spark, Seq((0L, 1L, 0.5), (0L, 2L, 2.0)))
-    val ns = Similarity.normSquares(g).collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    assert(math.abs(ns(0L) - (1 + 0.25 + 4.0)) < 1e-12)
-    assert(math.abs(ns(1L) - 1.25) < 1e-12)
-    assert(math.abs(ns(2L) - 5.0) < 1e-12)
+    val sg = SeqGraph.fromDataFrame(g)
+    val ns = SeqScanIndex.normSquares(sg, unweighted = false)
+    assert(math.abs(ns(sg.idOf(0L)) - (1 + 0.25 + 4.0)) < 1e-12)
+    assert(math.abs(ns(sg.idOf(1L)) - 1.25) < 1e-12)
+    assert(math.abs(ns(sg.idOf(2L)) - 5.0) < 1e-12)
   }
 }

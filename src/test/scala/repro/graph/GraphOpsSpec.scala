@@ -70,15 +70,6 @@ class GraphOpsSpec extends SparkSpec {
     assert(TestUtil.vertexSet(GraphOps.vertices(g)) == Set(10L, 20L, 30L))
   }
 
-  test("closedAdjacency adds exactly one self-row per vertex with weight 1") {
-    val g    = GraphGen.path(spark, 4)
-    val cadj = GraphOps.closedAdjacency(g)
-    val selfRows = cadj.filter($"v" === $"nbr").collect()
-    assert(selfRows.length == 4)
-    selfRows.foreach(r => assert(r.getDouble(2) == 1.0))
-    assert(cadj.count() == 2 * 3 + 4)
-  }
-
   test("numEdges and numVertices on K5") {
     val g = GraphGen.complete(spark, 5)
     assert(GraphOps.numEdges(g) == 10)
