@@ -63,14 +63,20 @@ final class SeqGraph(
     * aligned with `adj(v)`: descending similarity, ties by ascending
     * neighbor id. Both the sequential and the Spark index sort with it.
     */
-  def neighborOrder(v: Int, sims: Array[Double]): Array[Int] =
-    adj(v).indices.toArray.sortWith { (x, y) =>
-      val c = java.lang.Double.compare(sims(x), sims(y))
-      c > 0 || (c == 0 && adj(v)(x) < adj(v)(y))
-    }
+  def neighborOrder(v: Int, sims: Array[Double]): Array[Int] = SeqGraph.simOrder(sims, adj(v))
 }
 
 object SeqGraph {
+
+  /** Positions of `sims` by descending similarity, ties by ascending dense
+    * id in the aligned `vs` (so by ascending original id): the order of NO
+    * and of each CO[μ].
+    */
+  def simOrder(sims: Array[Double], vs: Array[Int]): Array[Int] =
+    sims.indices.toArray.sortWith { (x, y) =>
+      val c = java.lang.Double.compare(sims(x), sims(y))
+      c > 0 || (c == 0 && vs(x) < vs(y))
+    }
 
   /** Collect a canonical (src, dst, weight) DataFrame to the driver. */
   def fromDataFrame(canonical: DataFrame): SeqGraph = {

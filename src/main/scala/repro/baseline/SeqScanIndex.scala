@@ -13,9 +13,12 @@ import scala.collection.mutable
   *   for its 1.4–2.2× single-thread advantage over GS*-Index.
   *
   * Queries walk the sorted core order and neighbor-order prefixes and run
-  * sequential union-find — the GS*-Index query algorithm. Border vertices
-  * use the deterministic most-similar-core rule (§7.3.4) so outputs match
-  * the Spark implementation exactly.
+  * union-find — the GS*-Index query algorithm. The walk is a stripe kernel
+  * (`clusterStripe`, `rolesStripe`): the sequential query runs one stripe,
+  * `repro.core.ScanQuery` runs p stripes in Spark tasks over this layout,
+  * broadcast, and both finish with `merge`. Border vertices use the
+  * deterministic most-similar-core rule (§7.3.4) so outputs match across
+  * implementations exactly.
   */
 final class SeqScanIndex(
     val g: SeqGraph,
@@ -26,113 +29,153 @@ final class SeqScanIndex(
     // Core order: for each mu (index 2..maxMu), vertices sorted by
     // descending core threshold (ties: ascending id); parallel thresholds.
     val coVert: Array[Array[Int]],
-    val coThresh: Array[Array[Double]]) {
+    val coThresh: Array[Array[Double]])
+    extends Serializable {
+  import SeqScanIndex.{Part, UnionFind, offer, prefixEnd}
 
   val maxMu: Int = coVert.length - 1
 
+  /** Number of cores at (μ, ε): the length of CO[μ]'s prefix with
+    * threshold ≥ ε.
+    */
+  private def coreCount(mu: Int, eps: Double): Int =
+    if (mu < 2 || mu > maxMu) 0 else prefixEnd(coThresh(mu), eps)
+
   /** Core vertices at (μ, ε): the prefix of CO[μ] with threshold ≥ ε. */
   def cores(mu: Int, eps: Double): Array[Int] = {
-    if (mu < 2 || mu > maxMu) return Array.empty
-    val vs = coVert(mu); val ts = coThresh(mu)
-    val cut = prefixEnd(ts, eps)
-    vs.take(cut)
+    val c = coreCount(mu, eps)
+    if (c == 0) Array.empty else coVert(mu).take(c)
   }
+
+  /** v is a core at (μ, ε) iff its CO[μ] threshold, the μ-th entry of its
+    * closed neighbor order (NO slot μ−2), is ≥ ε: O(1), no core set.
+    */
+  private def isCore(v: Int, mu: Int, eps: Double): Boolean =
+    g.degree(v) + 1 >= mu && noSim(v)(mu - 2) >= eps
 
   /** Clustering at (μ, ε): map original-vertex-id -> cluster label, where
     * the label is the minimum original core id in the cluster's component.
     */
-  def cluster(mu: Int, eps: Double): Map[Long, Long] = {
-    val cs = cores(mu, eps)
-    if (cs.isEmpty) return Map.empty
-    val isCore = new Array[Boolean](g.n)
-    cs.foreach(isCore(_) = true)
+  def cluster(mu: Int, eps: Double): Map[Long, Long] =
+    merge(mu, eps, Seq(clusterStripe(mu, eps, 0, 1))).toMap
 
-    val parent = Array.tabulate(g.n)(identity)
-    def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); var c = x; while (parent(c) != c) { val nx = parent(c); parent(c) = r; c = nx }; r }
-    def union(a: Int, b: Int): Unit = { val (ra, rb) = (find(a), find(b)); if (ra != rb) parent(math.max(ra, rb)) = math.min(ra, rb) }
-
-    // ε-similar prefix of NO[v] for each core v; union core-core edges and
-    // record border candidates (most similar core, tie to lower core id).
-    val borderBest = mutable.HashMap.empty[Int, (Double, Int)]
-    cs.foreach { v =>
+  /** Algorithm 5 for the cores at positions ≡ `stripe` (mod `stripes`) of
+    * the (μ, ε) prefix of CO[μ]: walk the ε-prefix of each one's NO, union
+    * core–core edges in a local union-find, and keep each border vertex's
+    * best core (highest similarity, ties to the lower id). Returns the
+    * spanning forest of those unions and the border picks, both O(the
+    * stripe's ε-edges).
+    */
+  def clusterStripe(mu: Int, eps: Double, stripe: Int, stripes: Int): Part = {
+    val (uf, forest, borders) = (new UnionFind, Array.newBuilder[(Int, Int)], mutable.HashMap.empty[Int, (Double, Int)])
+    val cut = coreCount(mu, eps)
+    var j = stripe
+    while (j < cut) {
+      val v = coVert(mu)(j)
       val nbrs = noNbr(v); val sims = noSim(v)
-      val cut  = prefixEnd(sims, eps)
+      val end = prefixEnd(sims, eps)
       var i = 0
-      while (i < cut) {
+      while (i < end) {
         val u = nbrs(i)
-        if (isCore(u)) union(v, u)
-        else {
-          val s = sims(i)
-          val cur = borderBest.get(u)
-          val better = cur match {
-            case None => true
-            case Some((bs, bv)) =>
-              s > bs || (s == bs && g.ids(v) < g.ids(bv))
-          }
-          if (better) borderBest(u) = (s, v)
-        }
+        if (!isCore(u, mu, eps)) offer(borders, u, sims(i), v)
+        else if (uf.union(v, u)) forest += ((v, u))
         i += 1
       }
+      j += stripes
     }
+    Part(forest.result(), borders.toMap)
+  }
 
-    // Component label = min original core id in the component.
-    val label = mutable.HashMap.empty[Int, Long]
-    cs.foreach { v =>
-      val r = find(v)
-      val cur = label.getOrElse(r, Long.MaxValue)
-      if (g.ids(v) < cur) label(r) = g.ids(v)
-    }
-    val out = Map.newBuilder[Long, Long]
-    cs.foreach(v => out += g.ids(v) -> label(find(v)))
-    borderBest.foreach { case (u, (_, core)) => out += g.ids(u) -> label(find(core)) }
-    out.result()
+  /** Joins the stripes of one query: unions their forests, labels each
+    * component with its minimum core id, and gives each border vertex the
+    * cluster of its best core over all stripes (the `clusterStripe` rule).
+    * Returns (original id, cluster) for every core and border vertex.
+    */
+  def merge(mu: Int, eps: Double, parts: Seq[Part]): Array[(Long, Long)] = {
+    val (uf, best) = (new UnionFind, mutable.HashMap.empty[Int, (Double, Int)])
+    parts.foreach(_.forest.foreach { case (a, b) => uf.union(a, b) })
+    parts.foreach(_.borders.foreach { case (u, (s, c)) => offer(best, u, s, c) })
+    // Dense ids ascend with original ids, so the minimum root is the
+    // minimum core id.
+    def label(v: Int): Long = g.ids(uf.find(v))
+    cores(mu, eps).map(v => g.ids(v) -> label(v)) ++ best.iterator.map { case (u, (_, c)) => g.ids(u) -> label(c) }
   }
 
   /** Hubs and outliers (§4.3) given a clustering. */
-  def hubsAndOutliers(clusters: Map[Long, Long]): Map[Long, String] = {
-    val out = Map.newBuilder[Long, String]
-    var v = 0
-    while (v < g.n) {
-      val id = g.ids(v)
-      if (!clusters.contains(id)) {
-        val nbrClusters = g.adj(v).iterator.flatMap(u => clusters.get(g.ids(u))).toSet
-        out += id -> (if (nbrClusters.size >= 2) "hub" else "outlier")
-      }
-      v += 1
+  def hubsAndOutliers(clusters: Map[Long, Long]): Map[Long, String] =
+    SeqScanIndex.rolesStripe(g, clusters, 0, 1).toMap
+}
+
+object SeqScanIndex {
+
+  /** One query stripe's output: spanning-forest edges between cores and
+    * each border vertex's best core as (similarity, core), in dense ids.
+    */
+  final case class Part(forest: Array[(Int, Int)], borders: Map[Int, (Double, Int)])
+
+  /** Keep (s, core) as u's best core if it beats the current pick: higher
+    * similarity, ties to the lower core id.
+    */
+  private def offer(best: mutable.HashMap[Int, (Double, Int)], u: Int, s: Double, core: Int): Unit =
+    if (best.get(u).forall { case (bs, bc) => s > bs || (s == bs && core < bc) }) best(u) = (s, core)
+
+  /** Union-find over dense ids whose root is always its component's
+    * minimum; sparse, so it costs O(the vertices it links).
+    */
+  private final class UnionFind {
+    private val parent = mutable.HashMap.empty[Int, Int]
+    def find(x: Int): Int = {
+      var r = x
+      while (parent.getOrElse(r, r) != r) r = parent(r)
+      var c = x
+      while (c != r) { val nx = parent(c); parent(c) = r; c = nx }
+      r
     }
-    out.result()
+    /** Link the larger root under the smaller; true if a and b were apart. */
+    def union(a: Int, b: Int): Boolean = {
+      val (ra, rb) = (find(a), find(b))
+      if (ra != rb) parent(math.max(ra, rb)) = math.min(ra, rb)
+      ra != rb
+    }
   }
 
+  /** §4.3 for the vertices v ≡ `stripe` (mod `stripes`) that `clusters`
+    * (original id -> cluster) leaves out: a hub if its neighbors lie in at
+    * least two clusters, otherwise an outlier.
+    */
+  def rolesStripe(g: SeqGraph, clusters: Map[Long, Long], stripe: Int, stripes: Int): Iterator[(Long, String)] =
+    Iterator.range(stripe, g.n, stripes).filterNot(v => clusters.contains(g.ids(v))).map { v =>
+      val seen = g.adj(v).iterator.flatMap(u => clusters.get(g.ids(u))).distinct.take(2).size
+      g.ids(v) -> (if (seen >= 2) "hub" else "outlier")
+    }
+
   /** Index of the first entry of `sorted` (descending) strictly below eps —
-    * doubling search as in Algorithms 2/3 (cheap on the driver; retained
-    * for fidelity to the paper's prefix-retrieval structure).
+    * doubling search as in Algorithms 2/3 (retained for fidelity to the
+    * paper's prefix-retrieval structure).
     */
   private def prefixEnd(sorted: Array[Double], eps: Double): Int = {
     val n = sorted.length
     if (n == 0 || sorted(0) < eps) return 0
     var hi = 1
     while (hi < n && sorted(hi) >= eps) hi = math.min(n, hi * 2)
-    var lo = hi / 2
-    var end = math.min(hi, n)
-    // binary search in (lo, end]
-    var l = lo; var r = end
+    // binary search in (hi / 2, min(hi, n)]
+    var l = hi / 2; var r = math.min(hi, n)
     while (l < r) {
       val m = (l + r) / 2
       if (sorted(m) >= eps) l = m + 1 else r = m
     }
     l
   }
-}
-
-object SeqScanIndex {
 
   /** GS*-Index construction with hash-set intersection similarities. */
-  def buildBasic(g: SeqGraph, measure: Similarity.Measure): SeqScanIndex =
-    build(g, simsBasic(g, measure))
+  def buildBasic(g: SeqGraph, measure: Similarity.Measure): SeqScanIndex = {
+    val sims = simsBasic(g, measure)
+    buildFromSims(g, g.edges.map { case (u, v, _) => sims(key(u, v)) }.toArray)
+  }
 
   /** Construction with §6.1 directed merge-based triangle counting. */
   def buildOpt(g: SeqGraph, measure: Similarity.Measure): SeqScanIndex =
-    build(g, simsOpt(g, measure))
+    buildFromSims(g, optByEdge(g, measure))
 
   /** Per-edge similarity map keyed by packed (minIdx, maxIdx). */
   private def key(u: Int, v: Int): Long =
@@ -169,12 +212,16 @@ object SeqScanIndex {
 
   /** §6.1 sims: the merge kernel over all vertices on one thread. */
   def simsOpt(g: SeqGraph, measure: Similarity.Measure): mutable.LongMap[Double] = {
-    val tri = new Array[Double](g.numEdges.toInt)
-    mergeStripe(g, measure, tri, 0, 1)
-    val byEdge = simsByEdge(g, measure, tri)
-    val sims   = new mutable.LongMap[Double](2 * tri.length + 1)
+    val byEdge = optByEdge(g, measure)
+    val sims   = new mutable.LongMap[Double](2 * byEdge.length + 1)
     g.edges.zipWithIndex.foreach { case ((u, v, _), e) => sims(key(u, v)) = byEdge(e) }
     sims
+  }
+
+  private def optByEdge(g: SeqGraph, measure: Similarity.Measure): Array[Double] = {
+    val tri = new Array[Double](g.numEdges.toInt)
+    mergeStripe(g, measure, tri, 0, 1)
+    simsByEdge(g, measure, tri)
   }
 
   /** The §6.1 merge kernel, shared by `simsOpt` (one stripe) and the Spark
@@ -293,46 +340,34 @@ object SeqScanIndex {
       case Similarity.Jaccard => dot / ((g.degree(u) + 1) + (g.degree(v) + 1) - dot)
     }
 
-  /** Shared index assembly: sort NO lists by descending sim and build CO. */
-  def build(g: SeqGraph, sims: mutable.LongMap[Double]): SeqScanIndex =
-    buildFromSims(g, (u, v) => sims(key(u, v)))
-
-  /** Assemble the index from an arbitrary per-edge similarity function
-    * (dense indices). Used by tests to feed Spark-computed sims into the
-    * sequential query for FP-consistent comparisons.
+  /** Assemble the index from similarities by edge id (`SeqGraph.eids`):
+    * each vertex sorts its NO with `SeqGraph.neighborOrder`, then drops its
+    * entries straight into CO[2..deg+1] — v's NO entry at rank μ (slot
+    * μ−2) is its CO[μ] threshold — and each CO[μ] is sorted with the same
+    * comparator. O(m log m).
     */
-  def buildFromSims(g: SeqGraph, simOf: (Int, Int) => Double): SeqScanIndex = {
+  def buildFromSims(g: SeqGraph, sims: Array[Double]): SeqScanIndex = {
     val noNbr = new Array[Array[Int]](g.n)
     val noSim = new Array[Array[Double]](g.n)
-    var maxMu = 1
-    var v = 0
-    while (v < g.n) {
-      val nbrs = g.adj(v)
-      val sims = nbrs.map(simOf(v, _))
-      val order = g.neighborOrder(v, sims)
-      noNbr(v) = order.map(nbrs)
-      noSim(v) = order.map(sims)
-      maxMu = math.max(maxMu, nbrs.length + 1)
-      v += 1
+    for (v <- 0 until g.n) {
+      val vs    = g.eids(v).map(sims)
+      val order = g.neighborOrder(v, vs)
+      noNbr(v) = order.map(g.adj(v))
+      noSim(v) = order.map(vs)
     }
-    // CO[mu] for mu in 2..maxMu: vertices with |N̄| ≥ mu, threshold =
-    // similarity with the (mu-1)-th most similar neighbor.
-    val coVert   = new Array[Array[Int]](maxMu + 1)
-    val coThresh = new Array[Array[Double]](maxMu + 1)
-    var mu = 2
-    while (mu <= maxMu) {
-      val entries = (0 until g.n).iterator
-        .filter(u => g.degree(u) + 1 >= mu)
-        .map(u => (u, noSim(u)(mu - 2)))
-        .toArray
-        .sortBy { case (u, t) => (-t, g.ids(u)) }
-      coVert(mu) = entries.map(_._1)
-      coThresh(mu) = entries.map(_._2)
-      mu += 1
+    // CO[mu] for mu in 2..maxMu; mu = 0, 1 stay empty.
+    val maxMu = g.adj.foldLeft(1)((mx, a) => math.max(mx, a.length + 1))
+    val size  = new Array[Int](maxMu + 1)
+    for (v <- 0 until g.n; mu <- 2 to g.degree(v) + 1) size(mu) += 1
+    val (coVert, coThresh, fill) = (size.map(new Array[Int](_)), size.map(new Array[Double](_)), new Array[Int](maxMu + 1))
+    for (v <- 0 until g.n; r <- noSim(v).indices) {
+      val mu = r + 2
+      coVert(mu)(fill(mu)) = v; coThresh(mu)(fill(mu)) = noSim(v)(r); fill(mu) += 1
     }
-    // mu = 0, 1 unused
-    coVert(0) = Array.empty; coThresh(0) = Array.empty
-    if (maxMu >= 1) { coVert(1) = Array.empty; coThresh(1) = Array.empty }
+    for (mu <- 2 to maxMu) {
+      val order = SeqGraph.simOrder(coThresh(mu), coVert(mu))
+      coVert(mu) = order.map(coVert(mu)); coThresh(mu) = order.map(coThresh(mu))
+    }
     new SeqScanIndex(g, noNbr, noSim, coVert, coThresh)
   }
 }

@@ -10,8 +10,10 @@ import org.apache.spark.storage.StorageLevel
   *
   * The paper uses a parallel connectivity algorithm (Gazit / union-find in
   * the implementation). On Spark the vertex-centric analogue is GraphX's
-  * `connectedComponents`, the distributed implementation; the query uses
-  * driver-side union-find (below), which tests cross-check against GraphX.
+  * `connectedComponents`, the distributed implementation. The index query
+  * runs its own union-find inside `SeqScanIndex.clusterStripe`/`merge`; the
+  * ppSCAN-like tail uses the driver-side union-find below, which tests
+  * cross-check against GraphX.
   *
   * Both return (v, component) where `component` is the minimum vertex id of
   * v's component — this canonical labeling is what makes cluster outputs
@@ -28,8 +30,8 @@ object Connectivity {
     * algorithm with union-find for query practicality. The core subgraph
     * of a query is far smaller than the graph (O(Z) of Theorem 4.3), so
     * collecting it avoids tens of Pregel supersteps of per-job scheduler
-    * overhead. The connectivity of every clustering query; cross-checked
-    * against GraphX in tests.
+    * overhead. The connectivity of the ppSCAN-like baseline
+    * (`ScanQuery.clusterFrom`); cross-checked against GraphX in tests.
     */
   def connectedComponentsUnionFind(
       spark: SparkSession,

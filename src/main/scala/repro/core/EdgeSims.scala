@@ -34,6 +34,13 @@ final class EdgeSims private (spark: SparkSession, graph: Broadcast[SeqGraph], s
       g.neighborOrder(v, vs).iterator.zipWithIndex.map { case (k, i) => Row(g.ids(v), i + 2, g.ids(g.adj(v)(k)), vs(k)) }
     }
   }
+
+  /** NO and CO as per-vertex arrays (`SeqScanIndex.buildFromSims`, the
+    * same orders as `neighborOrder` and the CO window), assembled on the
+    * driver and broadcast: the layout every index query reads.
+    */
+  def layout: Broadcast[SeqScanIndex] =
+    spark.sparkContext.broadcast(SeqScanIndex.buildFromSims(graph.value, sims.value))
 }
 
 object EdgeSims {

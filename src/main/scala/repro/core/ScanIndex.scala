@@ -1,8 +1,10 @@
 package repro.core
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.baseline.SeqScanIndex
 
 /** The GS*-Index structure (§3.2 / §4.1, Algorithm 2) as DataFrames.
   *
@@ -19,11 +21,21 @@ import org.apache.spark.sql.functions._
   * The sorted orders (`rank`, `coreRank`) materialize the paper's
   * sorted-prefix property: the ε-similar neighbors of v are exactly the
   * NO[v] ranks ≤ some cut, and the (μ, ε)-cores are a prefix of CO[μ].
+  *
+  * Queries read the same orders as arrays (`layout`), built from the
+  * `edgeSims` the index came from.
   */
 final case class ScanIndex(
     similarities: DataFrame,
     neighborOrder: DataFrame,
-    coreOrder: DataFrame) {
+    coreOrder: DataFrame,
+    edgeSims: EdgeSims) {
+
+  /** The query layout: NO and CO as per-vertex arrays, broadcast. Built on
+    * the first query, so building and materializing the index do not pay
+    * for it.
+    */
+  lazy val layout: Broadcast[SeqScanIndex] = edgeSims.layout
 
   /** Cache all index DataFrames (index construction is the expensive
     * precomputation; queries must not recompute it).
@@ -86,6 +98,6 @@ object ScanIndex {
         "coreRank",
         row_number().over(Window.partitionBy("mu").orderBy(desc("threshold"), asc("v"))))
       .select("mu", "coreRank", "v", "threshold")
-    ScanIndex(sims.similarities, no, co)
+    ScanIndex(sims.similarities, no, co, sims)
   }
 }

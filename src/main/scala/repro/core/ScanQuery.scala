@@ -1,10 +1,13 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
+import repro.baseline.{SeqGraph, SeqScanIndex}
 import repro.connectivity.Connectivity
-import repro.graph.GraphOps
+import scala.jdk.CollectionConverters._
+import scala.reflect.ClassTag
 
 /** Clustering queries over the SCAN index (§4.2, Algorithms 3–5) and
   * hub/outlier determination (§4.3).
@@ -14,32 +17,40 @@ import repro.graph.GraphOps
   * the cluster of their most similar ε-similar core neighbor, ties broken
   * toward the lower core id (the de-randomized rule of §7.3.4, used here
   * everywhere so outputs are equality-comparable across implementations).
+  *
+  * Index queries read the broadcast array layout (`ScanIndex.layout`) and
+  * run the sequential GS*-Index kernels (`SeqScanIndex.clusterStripe`,
+  * `rolesStripe`) in one Spark job of p stripes. Results are local
+  * DataFrames, so actions on them start no further job.
   */
 object ScanQuery {
 
-  /** GetCores (Algorithm 3): vertices v with |N_ε(v)| ≥ μ, read off CO[μ]. */
+  /** GetCores (Algorithm 3): vertices v with |N_ε(v)| ≥ μ, the prefix of
+    * CO[μ] with threshold ≥ ε, read on the driver.
+    */
   def cores(index: ScanIndex, mu: Int, eps: Double): DataFrame = {
     require(mu >= 2, s"SCAN requires mu >= 2, got $mu")
-    index.coreOrder.filter(col("mu") === mu && col("threshold") >= eps).select("v")
+    val ix = index.layout.value
+    local(index.neighborOrder.sparkSession, "v LONG", ix.cores(mu, eps).map(v => Row(ix.g.ids(v))))
   }
 
-  /** Cluster (Algorithm 5): full clustering for (μ, ε) as (v, cluster). */
+  /** Cluster (Algorithm 5): full clustering for (μ, ε) as (v, cluster).
+    * One job of p = min(defaultParallelism, cores) tasks, task i walking
+    * the cores at CO[μ] prefix positions ≡ i (mod p); the driver merges
+    * their spanning forests and border picks. No cores, no job.
+    */
   def cluster(index: ScanIndex, mu: Int, eps: Double): DataFrame = {
-    val coresDf = cores(index, mu, eps)
-    // ε-similar edges incident on cores — the NO-prefix retrieval of
-    // Algorithm 5 line 4 (the index's sort order makes this a prefix; the
-    // dataflow analogue is a filter over the indexed order).
-    val simEdges = index.neighborOrder
-      .filter(col("sim") >= eps)
-      .join(coresDf, Seq("v"))
-      .select(col("v"), col("nbr"), col("sim"))
-    clusterFrom(index.neighborOrder.sparkSession, coresDf, simEdges)
+    require(mu >= 2, s"SCAN requires mu >= 2, got $mu")
+    val (spark, layout) = (index.neighborOrder.sparkSession, index.layout)
+    val p = math.min(spark.sparkContext.defaultParallelism, layout.value.cores(mu, eps).length)
+    val parts = inTasks(spark, p)(i => layout.value.clusterStripe(mu, eps, i, p))
+    local(spark, "v LONG, cluster LONG", layout.value.merge(mu, eps, parts).map { case (v, c) => Row(v, c) })
   }
 
-  /** Shared clustering tail used by both the index query and the
-    * ppSCAN-like baseline: from the core set and the ε-similar edges
-    * incident on cores (v = core, nbr = any neighbor), compute components
-    * on the core-core subgraph and attach border vertices.
+  /** The clustering tail of the ppSCAN-like baseline: from the core set
+    * and the ε-similar edges incident on cores (v = core, nbr = any
+    * neighbor), compute components on the core-core subgraph with
+    * union-find and attach border vertices by the rule above.
     */
   def clusterFrom(spark: SparkSession, coresDf: DataFrame, simEdges: DataFrame): DataFrame = {
     val coreSet = coresDf.select(col("v")).distinct()
@@ -75,19 +86,26 @@ object ScanQuery {
   /** Hubs and outliers (§4.3): unclustered vertices classified by how many
     * distinct clusters their (graph) neighbors belong to — ≥ 2 → hub,
     * otherwise outlier. Returns (v, role) with role ∈ {"hub", "outlier"}.
+    * The graph is collected into the driver CSR and broadcast with the
+    * cluster labels; one job of vertex stripes runs `rolesStripe`.
     */
   def hubsAndOutliers(canonical: DataFrame, clusters: DataFrame): DataFrame = {
-    val unclustered = GraphOps
-      .vertices(canonical)
-      .join(clusters.select("v"), Seq("v"), "left_anti")
-    val nbrClusters = GraphOps
-      .symmetrize(canonical)
-      .join(clusters.withColumnRenamed("v", "cv"), col("nbr") === col("cv"))
-      .select(col("v"), col("cluster"))
-    unclustered
-      .join(nbrClusters.groupBy("v").agg(countDistinct("cluster").as("nc")), Seq("v"), "left")
-      .select(
-        col("v"),
-        when(coalesce(col("nc"), lit(0L)) >= 2, lit("hub")).otherwise(lit("outlier")).as("role"))
+    val (spark, g) = (canonical.sparkSession, SeqGraph.fromDataFrame(canonical))
+    val labels = clusters.select("v", "cluster").collect().iterator.map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val (bg, bl) = (spark.sparkContext.broadcast(g), spark.sparkContext.broadcast(labels))
+    val p = math.min(spark.sparkContext.defaultParallelism, g.n)
+    val roles = inTasks(spark, p)(i => SeqScanIndex.rolesStripe(bg.value, bl.value, i, p).toArray).flatten
+    bg.destroy(); bl.destroy()
+    local(spark, "v LONG, role STRING", roles.map { case (v, r) => Row(v, r) })
   }
+
+  /** f(0), ..., f(p − 1) in one job of p tasks; no job when p = 0. */
+  private def inTasks[T: ClassTag](spark: SparkSession, p: Int)(f: Int => T): Seq[T] =
+    if (p == 0) Seq.empty else spark.sparkContext.parallelize(0 until p, p).map(f).collect().toSeq
+
+  /** A DataFrame over driver-side rows (a local relation: collecting it
+    * runs no job).
+    */
+  private def local(spark: SparkSession, schema: String, rows: Seq[Row]): DataFrame =
+    spark.createDataFrame(rows.asJava, StructType.fromDDL(schema))
 }

@@ -7,19 +7,14 @@ import org.apache.spark.sql.functions._
   * clustering and a ground-truth clustering over the same vertex set.
   *
   * Vertices missing from either clustering are treated as singleton
-  * clusters (unique negative labels), mirroring the modularity treatment
+  * clusters (`Labels.withSingletons`), mirroring the modularity treatment
   * of unclustered vertices.
   */
 object Ari {
 
   def ari(proposed: DataFrame, truth: DataFrame, allVertices: DataFrame): Double = {
-    def full(c: DataFrame): DataFrame =
-      allVertices
-        .join(c, Seq("v"), "left")
-        .select(col("v"), coalesce(col("cluster"), -col("v") - 1).as("cluster"))
-
-    val a = full(proposed).withColumnRenamed("cluster", "ca")
-    val b = full(truth).withColumnRenamed("cluster", "cb")
+    val a = Labels.withSingletons(allVertices, proposed).withColumnRenamed("cluster", "ca")
+    val b = Labels.withSingletons(allVertices, truth).withColumnRenamed("cluster", "cb")
 
     val contingency = a
       .join(b, Seq("v"))

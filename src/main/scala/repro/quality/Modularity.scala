@@ -18,11 +18,7 @@ import repro.graph.GraphOps
 object Modularity {
 
   def modularity(canonical: DataFrame, clusters: DataFrame): Double = {
-    val verts = GraphOps.vertices(canonical)
-    // Unclustered vertices become singletons with a unique negative label.
-    val assign = verts
-      .join(clusters, Seq("v"), "left")
-      .select(col("v"), coalesce(col("cluster"), -col("v") - 1).as("cluster"))
+    val assign = Labels.withSingletons(GraphOps.vertices(canonical), clusters)
 
     val wTotalRow = canonical.agg(sum("weight")).collect()(0)
     if (wTotalRow.isNullAt(0)) return 0.0

@@ -1,9 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestUtil}
-import repro.baseline.{SeqGraph, SeqScan}
-import repro.graph.GraphGen
+import repro.approx.ApproxSimilarity
+import repro.baseline.{SeqGraph, SeqScan, SeqScanIndex}
+import repro.graph.{GraphGen, GraphOps}
 
 class ScanQuerySpec extends SparkSpec {
 
@@ -157,5 +159,92 @@ class ScanQuerySpec extends SparkSpec {
     val overlap  = roles.join(clusters, Seq("v")).count()
     assert(overlap == 0)
     clusters.unpersist()
+  }
+
+  // ------------------------- Spark query vs the sequential GS*-Index -----
+
+  /** The sequential index over the similarities `idx` holds, so both sides
+    * query the same values (weighted and approximate indexes).
+    */
+  private def seqOf(g: DataFrame, idx: ScanIndex): SeqScanIndex = {
+    val (sg, sims) = (SeqGraph.fromDataFrame(g), TestUtil.simsToMap(idx.similarities))
+    SeqScanIndex.buildFromSims(sg, sg.edges.map { case (u, v, _) => sims((sg.ids(u), sg.ids(v))) }.toArray)
+  }
+
+  /** Spark clusters and roles equal `seq.cluster`/`hubsAndOutliers` at
+    * every point.
+    */
+  private def assertSameAsSequential(g: DataFrame, idx: ScanIndex, seq: SeqScanIndex, points: Seq[(Int, Double)]): Unit =
+    for ((mu, eps) <- points) {
+      val clusters = ScanQuery.cluster(idx, mu, eps)
+      val want     = seq.cluster(mu, eps)
+      assert(TestUtil.clustersToMap(clusters) == want, s"clusters at ($mu, $eps)")
+      assert(TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(g, clusters)) == seq.hubsAndOutliers(want), s"roles at ($mu, $eps)")
+    }
+
+  test("Spark query equals the sequential query on RMAT-9 with negative and near-Long.MaxValue ids") {
+    val remap = (c: String) =>
+      when(col(c) % 3 === 0, lit(Long.MaxValue) - col(c))
+        .when(col(c) % 3 === 1, lit(Long.MinValue) + col(c))
+        .otherwise(-col(c) * 7919)
+    val raw = GraphGen.rmat(spark, 9, 2000, seed = 78)
+      .select(remap("src").as("src"), remap("dst").as("dst"), col("weight"))
+    val g = GraphOps.canonicalize(raw).cache()
+    val idx = ScanIndex.build(g, Similarity.Cosine).cache()
+    assertSameAsSequential(g, idx, SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(g), Similarity.Cosine), grid :+ ((idx.maxMu + 1, 0.1)))
+    idx.unpersist(); g.unpersist()
+  }
+
+  test("Spark query equals the sequential query at every eps equal to a similarity of figureLike") {
+    val seq = SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(fig), Similarity.Cosine)
+    val ties = TestUtil.simsToMap(figIdx.similarities).values.toSeq.distinct
+    assertSameAsSequential(fig, figIdx, seq, for (mu <- 2 to 4; eps <- ties) yield (mu, eps))
+  }
+
+  test("a border vertex equally similar to cores of two clusters joins the lower core's") {
+    // Two K4s joined through vertex 20: σ(20, 3) = σ(20, 13) = 2/√15 ≈ 0.516
+    // by the same expression, and 3 and 13 are cores at (4, 0.5).
+    val k4 = (b: Long) => for (i <- 0L to 3L; j <- i + 1 to 3L) yield (b + i, b + j)
+    val g = GraphGen.fromEdges(spark, k4(0L) ++ k4(10L) ++ Seq((3L, 20L), (13L, 20L)))
+    val idx = ScanIndex.build(g, Similarity.Cosine)
+    assert(TestUtil.clustersToMap(ScanQuery.cluster(idx, 4, 0.5)).get(20L) == Some(0L))
+    assertSameAsSequential(g, idx, SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(g), Similarity.Cosine), Seq((4, 0.5), (2, 0.5)))
+  }
+
+  test("Spark query equals the sequential query on a weighted fromSimilarities index") {
+    val g   = GraphGen.denseWeighted(spark, 60, 700, seed = 79).cache()
+    val idx = ScanIndex.fromSimilarities(g, Similarity.similarities(g, Similarity.Cosine)).cache()
+    assertSameAsSequential(g, idx, seqOf(g, idx), grid)
+    idx.unpersist(); g.unpersist()
+  }
+
+  test("Spark query equals the sequential query on an approximate index") {
+    val g   = GraphGen.denseWeighted(spark, 60, 900, seed = 80).cache()
+    val idx = ApproxSimilarity.buildIndex(g, Similarity.Cosine, 16, seed = 81).cache()
+    assertSameAsSequential(g, idx, seqOf(g, idx), grid)
+    idx.unpersist(); g.unpersist()
+  }
+
+  // -------------------------------------------------- structural gates ---
+
+  // Caps are the counts measured on the test session once the layout
+  // exists: the cluster query is one job of stripes, an empty one runs
+  // none, and roles collect the graph and run one job of vertex stripes.
+  test("on RMAT-9 a query runs at most 1 Spark job, an empty one 0 and its roles at most 2") {
+    val g = GraphGen.rmat(spark, 9, 2000, seed = 65).cache()
+    val idx = ScanIndex.build(g, Similarity.Cosine).cache().materialize()
+    val (maxMu, _) = (idx.maxMu, idx.layout)
+    var clusters: DataFrame = null
+    val query = TestUtil.sparkJobs(spark) { clusters = ScanQuery.cluster(idx, 3, 0.6); clusters.collect() }
+    val empty = TestUtil.sparkJobs(spark) {
+      ScanQuery.cluster(idx, maxMu + 1, 0.1).collect(); ScanQuery.cluster(idx, 2, 1.5).collect()
+    }
+    val roles = TestUtil.sparkJobs(spark)(ScanQuery.hubsAndOutliers(g, clusters).collect())
+    info(s"query $query, empty $empty, roles $roles jobs")
+    assert(clusters.count() > 0)
+    assert(query <= 1, s"$query Spark jobs")
+    assert(empty == 0, s"$empty Spark jobs")
+    assert(roles <= 2, s"$roles Spark jobs")
+    idx.unpersist(); g.unpersist()
   }
 }

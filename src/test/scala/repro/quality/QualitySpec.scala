@@ -142,4 +142,16 @@ class QualitySpec extends SparkSpec {
     val a = Ari.ari(refined, truth, verts(40))
     assert(a > 0.0 && a < 1.0)
   }
+
+  // --------------------------------------------- singleton labels ----
+
+  test("an unclustered vertex with a negative id stays a singleton beside cluster 0") {
+    // Labeling an unclustered v as -v-1 gave vertex -1 the label 0, the
+    // label of the cluster {0, 1, 2}, and merged it into that cluster.
+    val g       = GraphGen.fromEdges(spark, Seq((0L, 1L), (1L, 2L), (0L, 2L), (-1L, 0L)))
+    val partial = clustersDf(Map(0L -> 0L, 1L -> 0L, 2L -> 0L))
+    val full    = clustersDf(Map(0L -> 0L, 1L -> 0L, 2L -> 0L, -1L -> 7L))
+    assert(math.abs(Modularity.modularity(g, partial) - Modularity.modularity(g, full)) < 1e-12)
+    assert(Ari.ari(partial, full, GraphOps.vertices(g)) == 1.0)
+  }
 }
