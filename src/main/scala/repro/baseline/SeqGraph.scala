@@ -24,6 +24,9 @@ final class SeqGraph(
 
   def degree(u: Int): Int = adj(u).length
 
+  /** Largest degree; 0 for a graph with no edges. */
+  def maxDegree: Int = adj.foldLeft(0)((mx, a) => math.max(mx, a.length))
+
   /** m = number of undirected edges. */
   val numEdges: Long = adj.iterator.map(_.length.toLong).sum / 2
 
@@ -84,11 +87,18 @@ object SeqGraph {
     fromEdges(rows.map(_.getLong(0)), rows.map(_.getLong(1)), rows.map(_.getDouble(2)))
   }
 
-  /** Build the CSR from canonical edges given as aligned arrays. */
+  /** Build the CSR from canonical edges given as aligned arrays. Rejects
+    * a non-finite weight (NO would sort a NaN similarity first and hide
+    * every ε-neighbor behind it), a self-loop and an edge given twice.
+    */
   def fromEdges(src: Array[Long], dst: Array[Long], w: Array[Double]): SeqGraph = {
     // Edge ids and the 2m adjacency slots are Int-indexed (and n ≤ 2m).
     val m = src.length
     require(m <= (Int.MaxValue - 8) / 2, s"SeqGraph: $m edges do not fit the CSR's Int vertex and edge ids")
+    for (i <- 0 until m) {
+      require(java.lang.Double.isFinite(w(i)), s"SeqGraph: edge (${src(i)}, ${dst(i)}) has weight ${w(i)}; weights must be finite")
+      require(src(i) != dst(i), s"SeqGraph: edge (${src(i)}, ${dst(i)}) is a self-loop")
+    }
     // Dense index = position among the distinct endpoints, ascending.
     val all = src ++ dst
     java.util.Arrays.sort(all)
@@ -107,6 +117,9 @@ object SeqGraph {
     }
     val (tmpAdj, tmpW) = scatter((0 until m).iterator.flatMap(i => Iterator((s(i), d(i), w(i)), (d(i), s(i), w(i)))))
     val (adj, wts) = scatter(tmpAdj.indices.iterator.flatMap(v => tmpAdj(v).indices.iterator.map(k => (tmpAdj(v)(k), v, tmpW(v)(k)))))
+    // Sorted lists hold a repeated edge in adjacent slots.
+    for (u <- adj.indices; k <- 1 until adj(u).length)
+      require(adj(u)(k) != adj(u)(k - 1), s"SeqGraph: edge (${ids(u)}, ${ids(adj(u)(k))}) appears more than once")
     new SeqGraph(ids.length, ids, adj, wts)
   }
 }

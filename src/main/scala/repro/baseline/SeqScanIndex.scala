@@ -356,7 +356,7 @@ object SeqScanIndex {
       noSim(v) = order.map(vs)
     }
     // CO[mu] for mu in 2..maxMu; mu = 0, 1 stay empty.
-    val maxMu = g.adj.foldLeft(1)((mx, a) => math.max(mx, a.length + 1))
+    val maxMu = g.maxDegree + 1
     val size  = new Array[Int](maxMu + 1)
     for (v <- 0 until g.n; mu <- 2 to g.degree(v) + 1) size(mu) += 1
     val (coVert, coThresh, fill) = (size.map(new Array[Int](_)), size.map(new Array[Double](_)), new Array[Int](maxMu + 1))

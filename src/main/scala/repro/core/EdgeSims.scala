@@ -9,12 +9,12 @@ import repro.approx.{MinHashOPH, SimHash}
 import repro.baseline.{SeqGraph, SeqScanIndex}
 import scala.reflect.ClassTag
 
-/** Per-edge similarities by `SeqGraph.eids`, broadcast with their driver
-  * graph. Every DataFrame read off them runs in p = defaultParallelism
-  * tasks, task i over the vertex stripe v ≡ i (mod p): §6.1's parallel
-  * loop over vertices.
+/** Per-edge similarities by `SeqGraph.eids`, broadcast beside their
+  * prepared graph (`PreparedGraph`). Every DataFrame read off them runs in
+  * p = defaultParallelism tasks, task i over the vertex stripe
+  * v ≡ i (mod p): §6.1's parallel loop over vertices.
   */
-final class EdgeSims private (spark: SparkSession, graph: Broadcast[SeqGraph], sims: Broadcast[Array[Double]]) {
+final class EdgeSims private (spark: SparkSession, val graph: Broadcast[SeqGraph], sims: Broadcast[Array[Double]]) {
 
   /** (src, dst, sim) in canonical orientation. */
   def similarities: DataFrame = {
@@ -45,13 +45,13 @@ final class EdgeSims private (spark: SparkSession, graph: Broadcast[SeqGraph], s
 
 object EdgeSims {
 
-  /** Exact similarities: collect the graph into the driver CSR, broadcast
-    * it, run the merge kernel over one vertex stripe per task, and add the
-    * per-task triangle sums in stripe order.
+  /** Exact similarities: run the merge kernel over the prepared graph, one
+    * vertex stripe per task, and add the per-task triangle sums in stripe
+    * order.
     */
   def exact(canonical: DataFrame, measure: Similarity.Measure): EdgeSims = {
-    val (spark, g) = (canonical.sparkSession, SeqGraph.fromDataFrame(canonical))
-    val (bg, m, p) = (spark.sparkContext.broadcast(g), g.numEdges.toInt, spark.sparkContext.defaultParallelism)
+    val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
+    val (g, m, p)   = (bg.value, bg.value.numEdges.toInt, spark.sparkContext.defaultParallelism)
     val tri = spark.sparkContext.parallelize(0 until p, p).map { i =>
       val t = new Array[Double](m)
       SeqScanIndex.mergeStripe(bg.value, measure, t, i, p)
@@ -61,7 +61,7 @@ object EdgeSims {
   }
 
   /** LSH similarities (§5) on the edges whose endpoints both have degree
-    * above `t`, exact ones elsewhere (§6.3), over the broadcast CSR in two
+    * above `t`, exact ones elsewhere (§6.3), over the prepared graph in two
     * stripe passes:
     *
     * 1. sketch each vertex above t that has a neighbor above t — SimHash
@@ -72,8 +72,8 @@ object EdgeSims {
     *    (`SeqScanIndex.edgeSim`).
     */
   def approx(canonical: DataFrame, measure: Similarity.Measure, k: Int, seed: Long, t: Long): EdgeSims = {
-    val (spark, g) = (canonical.sparkSession, SeqGraph.fromDataFrame(canonical))
-    val (sc, bg) = (spark.sparkContext, spark.sparkContext.broadcast(g))
+    val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
+    val (sc, g)     = (spark.sparkContext, bg.value)
     val (sketch, estimate): ((SeqGraph, Int) => Array[Long], (Array[Long], Array[Long]) => Double) = measure match {
       case Similarity.Cosine  => (SimHash.sketch(_, _, k, seed), SimHash.estimate(_, _, k))
       case Similarity.Jaccard => (MinHashOPH.sketch(_, _, k, seed), MinHashOPH.estimate)
@@ -96,13 +96,14 @@ object EdgeSims {
   }
 
   /** Exact (src, dst, sim) for the edges in `subset` (src, dst), each by the
-    * per-edge merge over the broadcast CSR.
+    * per-edge merge over the prepared graph.
     */
   def forEdges(canonical: DataFrame, subset: DataFrame, measure: Similarity.Measure): DataFrame = {
-    val (spark, g) = (canonical.sparkSession, SeqGraph.fromDataFrame(canonical))
+    val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
+    val g    = bg.value
     val keep = new java.util.BitSet(g.numEdges.toInt)
     subset.select("src", "dst").collect().foreach(r => keep.set(eidOf(g, r.getLong(0), r.getLong(1))))
-    val (bg, bn) = (spark.sparkContext.broadcast(g), spark.sparkContext.broadcast(normSquares(g, measure)))
+    val bn = spark.sparkContext.broadcast(normSquares(g, measure))
     rows(spark, bg, "src LONG, dst LONG, sim DOUBLE") { (g, u) =>
       upper(g, u).filter(k => keep.get(g.eids(u)(k)))
         .map(k => Row(g.ids(u), g.ids(g.adj(u)(k)), SeqScanIndex.edgeSim(g, measure, bn.value, u, k)))
@@ -110,10 +111,11 @@ object EdgeSims {
   }
 
   /** Given (src, dst, sim) for every edge, e.g. approximate ones: collect
-    * both the graph and the similarities, by edge id.
+    * the similarities by edge id of the prepared graph.
     */
   def collect(canonical: DataFrame, simsDf: DataFrame): EdgeSims = {
-    val (spark, g) = (canonical.sparkSession, SeqGraph.fromDataFrame(canonical))
+    val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
+    val g = bg.value
     val (sims, seen) = (new Array[Double](g.numEdges.toInt), new java.util.BitSet)
     simsDf.select("src", "dst", "sim").collect().foreach { r =>
       val e = eidOf(g, r.getLong(0), r.getLong(1))
@@ -121,7 +123,7 @@ object EdgeSims {
       seen.set(e); sims(e) = r.getDouble(2)
     }
     require(seen.cardinality == sims.length, "similarities: some edge has no similarity")
-    new EdgeSims(spark, spark.sparkContext.broadcast(g), spark.sparkContext.broadcast(sims))
+    new EdgeSims(spark, bg, spark.sparkContext.broadcast(sims))
   }
 
   private def eidOf(g: SeqGraph, src: Long, dst: Long): Int = {

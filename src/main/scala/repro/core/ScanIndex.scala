@@ -59,18 +59,15 @@ final case class ScanIndex(
     this
   }
 
-  /** Release what `cache()` cached. */
+  /** Release what `cache()` cached; the prepared graph stays. */
   def unpersist(): Unit = {
     similarities.unpersist(); neighborOrder.unpersist(); coreOrder.unpersist()
   }
 
-  /** Largest μ for which any vertex can be a core (= max |N̄(v)|); 1 for
-    * an index with no edges.
+  /** Largest μ for which any vertex can be a core (= max |N̄(v)|, read
+    * off the index's graph); 1 for an index with no edges.
     */
-  lazy val maxMu: Int = {
-    val top = coreOrder.agg(max("mu")).head()
-    if (top.isNullAt(0)) 1 else top.getInt(0)
-  }
+  lazy val maxMu: Int = edgeSims.graph.value.maxDegree + 1
 }
 
 object ScanIndex {

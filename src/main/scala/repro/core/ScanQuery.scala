@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StructType
-import repro.baseline.{SeqGraph, SeqScanIndex}
+import repro.baseline.SeqScanIndex
 import repro.connectivity.Connectivity
 import scala.jdk.CollectionConverters._
 import scala.reflect.ClassTag
@@ -86,16 +86,16 @@ object ScanQuery {
   /** Hubs and outliers (§4.3): unclustered vertices classified by how many
     * distinct clusters their (graph) neighbors belong to — ≥ 2 → hub,
     * otherwise outlier. Returns (v, role) with role ∈ {"hub", "outlier"}.
-    * The graph is collected into the driver CSR and broadcast with the
-    * cluster labels; one job of vertex stripes runs `rolesStripe`.
+    * The cluster labels are broadcast beside the prepared graph
+    * (`PreparedGraph`); one job of vertex stripes runs `rolesStripe`.
     */
   def hubsAndOutliers(canonical: DataFrame, clusters: DataFrame): DataFrame = {
-    val (spark, g) = (canonical.sparkSession, SeqGraph.fromDataFrame(canonical))
+    val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
     val labels = clusters.select("v", "cluster").collect().iterator.map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val (bg, bl) = (spark.sparkContext.broadcast(g), spark.sparkContext.broadcast(labels))
-    val p = math.min(spark.sparkContext.defaultParallelism, g.n)
+    val bl = spark.sparkContext.broadcast(labels)
+    val p = math.min(spark.sparkContext.defaultParallelism, bg.value.n)
     val roles = inTasks(spark, p)(i => SeqScanIndex.rolesStripe(bg.value, bl.value, i, p).toArray).flatten
-    bg.destroy(); bl.destroy()
+    bl.destroy()
     local(spark, "v LONG, role STRING", roles.map { case (v, r) => Row(v, r) })
   }
 

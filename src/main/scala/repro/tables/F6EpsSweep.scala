@@ -1,8 +1,8 @@
 package repro.tables
 
 import org.apache.spark.sql.SparkSession
-import repro.baseline.{PpScan, SeqGraph, SeqScanIndex}
-import repro.core.{ScanIndex, ScanQuery, Similarity}
+import repro.baseline.{PpScan, SeqScanIndex}
+import repro.core.{PreparedGraph, ScanIndex, ScanQuery, Similarity}
 import repro.util.Timing
 import TableResult.secs
 
@@ -30,7 +30,7 @@ object F6EpsSweep {
     val rows = Datasets.select(scale, graphNames).flatMap { bg =>
       val edges  = bg.load(spark)
       val index  = ScanIndex.build(edges, Similarity.Cosine).cache().materialize()
-      val g      = SeqGraph.fromDataFrame(edges)
+      val g      = PreparedGraph.of(edges).value
       val seqIdx = SeqScanIndex.buildOpt(g, Similarity.Cosine)
 
       val out = epsList.map { eps =>

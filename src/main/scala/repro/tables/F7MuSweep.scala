@@ -1,8 +1,8 @@
 package repro.tables
 
 import org.apache.spark.sql.SparkSession
-import repro.baseline.{PpScan, SeqGraph, SeqScanIndex}
-import repro.core.{ScanIndex, ScanQuery, Similarity}
+import repro.baseline.{PpScan, SeqScanIndex}
+import repro.core.{PreparedGraph, ScanIndex, ScanQuery, Similarity}
 import repro.util.Timing
 import TableResult.secs
 
@@ -22,10 +22,10 @@ object F7MuSweep {
     val rows = Datasets.select(scale, graphNames).flatMap { bg =>
       val edges  = bg.load(spark)
       val index  = ScanIndex.build(edges, Similarity.Cosine).cache().materialize()
-      val g      = SeqGraph.fromDataFrame(edges)
+      val g      = PreparedGraph.of(edges).value
       val seqIdx = SeqScanIndex.buildOpt(g, Similarity.Cosine)
 
-      val maxDeg = g.adj.iterator.map(_.length).max
+      val maxDeg = g.maxDegree
       val mus = Iterator
         .iterate(2)(_ * 2)
         .takeWhile(m => m <= math.min(muCap, Integer.highestOneBit(maxDeg)))

@@ -38,6 +38,27 @@ class BaselineSpec extends SparkSpec {
     assert(figSg.edges.size == 15)
   }
 
+  private def rejected(src: Long*)(dst: Long*)(w: Double*): String =
+    intercept[IllegalArgumentException](SeqGraph.fromEdges(src.toArray, dst.toArray, w.toArray)).getMessage
+
+  test("SeqGraph rejects NaN and infinite weights, naming the edge") {
+    assert(rejected(1L, 2L)(2L, 3L)(1.0, Double.NaN).contains("edge (2, 3) has weight NaN"))
+    assert(rejected(1L, 2L)(2L, 3L)(Double.PositiveInfinity, 1.0).contains("edge (1, 2) has weight Infinity"))
+    // Every Spark operator meets the check when it prepares the graph.
+    val g = GraphGen.fromWeightedEdges(spark, Seq((1L, 2L, 0.5), (2L, 3L, Double.NaN)))
+    val e = intercept[IllegalArgumentException](ScanIndex.build(g, Similarity.Cosine))
+    assert(e.getMessage.contains("edge (2, 3) has weight NaN"))
+  }
+
+  test("SeqGraph rejects a self-loop, naming the edge") {
+    assert(rejected(1L, 2L)(2L, 2L)(1.0, 1.0).contains("edge (2, 2) is a self-loop"))
+  }
+
+  test("SeqGraph rejects an edge given twice, in either orientation, naming the edge") {
+    assert(rejected(1L, 2L, 1L)(2L, 3L, 2L)(1.0, 1.0, 1.0).contains("edge (1, 2) appears more than once"))
+    assert(rejected(1L, 3L, 3L)(3L, 4L, 1L)(1.0, 1.0, 0.5).contains("edge (1, 3) appears more than once"))
+  }
+
   // ------------------------------------------------- sequential indexes --
 
   test("buildBasic and buildOpt produce identical neighbor orders (unweighted)") {

@@ -222,4 +222,21 @@ class ScanIndexSpec extends SparkSpec {
     assert(jobs <= 17, s"$jobs Spark jobs")
     idx.unpersist(); graph.unpersist()
   }
+
+  // The first build prepares the graph (one collect); the second reads the
+  // same broadcast CSR.
+  test("a second exact build on the same cached graph runs fewer Spark jobs than the first") {
+    val graph = GraphGen.rmat(spark, 9, 2000, seed = 66).cache()
+    graph.count()
+    def build(): Int = {
+      var idx: ScanIndex = null
+      val jobs = TestUtil.sparkJobs(spark) { idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize() }
+      idx.unpersist()
+      jobs
+    }
+    val (first, second) = (build(), build())
+    info(s"first $first, second $second jobs")
+    assert(second < first, s"first $first, second $second Spark jobs")
+    graph.unpersist()
+  }
 }
