@@ -1,23 +1,27 @@
 package repro.baseline
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.core.{ScanQuery, Similarity}
-import repro.graph.GraphOps
+import org.apache.spark.sql.{DataFrame, Row}
+import repro.core.{PreparedGraph, ScanQuery, Similarity}
+import scala.collection.mutable
 
 /** ppSCAN-like baseline (Che et al. [18]): a parallel, per-query,
-  * *index-free* SCAN with pruning. For each query (μ, ε) it recomputes
-  * only the similarities that can matter:
+  * *index-free* SCAN with pruning, as one Spark job of vertex stripes over
+  * the prepared graph (`PreparedGraph`). For each query (μ, ε) it
+  * recomputes only the similarities that can matter:
   *
+  * - core-relevance pruning: only a vertex with |N̄(v)| ≥ μ can be a core,
+  *   so only those compute similarities;
   * - degree pruning: σ(u,v) ≤ sqrt(min(|N̄u|,|N̄v|)/max(...)) for cosine and
-  *   ≤ min/max for Jaccard, so edges whose upper bound is below ε are
-  *   skipped (they can be neither core-qualifying nor cluster edges);
-  * - core-relevance pruning: an edge can only influence the output if at
-  *   least one endpoint can be a core (|N̄| ≥ μ).
+  *   ≤ min/max for Jaccard, so an edge whose bound is below ε is skipped.
+  *   The cosine bound holds for unit weights only (one heavy edge between
+  *   vertices whose other edges are light has σ near 1 whatever the
+  *   degrees), so weighted cosine computes every edge.
   *
-  * The clustering tail (connectivity + border assignment) is shared with
-  * the index query so the two produce identical outputs — the experiment
-  * in Figures 6–7 measures exactly this recompute-vs-index gap.
+  * Each surviving edge's σ is the per-edge merge `SeqScanIndex.edgeSim`,
+  * not the index's triangle kernel. Each task returns its cores' ε-similar
+  * neighbors; the driver walks them with the index query's ε-edge walk and
+  * `merge`, so the two produce identical outputs — the experiment in
+  * Figures 6–7 measures exactly this recompute-vs-index gap.
   */
 object PpScan {
 
@@ -28,39 +32,58 @@ object PpScan {
       mu: Int,
       eps: Double): DataFrame = {
     require(mu >= 2, s"SCAN requires mu >= 2, got $mu")
-    val spark = canonical.sparkSession
-    val deg   = GraphOps.degrees(canonical)
+    val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
+    val g       = bg.value
+    val bounded = measure == Similarity.Jaccard || g.wts.forall(_.forall(_ == 1.0))
+    val p       = math.min(spark.sparkContext.defaultParallelism, g.n)
+    val cores   = ScanQuery.inTasks(spark, p)(i => coreStripe(bg.value, measure, bounded, mu, eps, i, p)).flatten.toArray
+    val isCore  = new java.util.BitSet(g.n)
+    cores.foreach(c => isCore.set(c._1))
+    val part = SeqScanIndex.walkEpsEdges(eps, cores.iterator, isCore.get(_))
+    ScanQuery.local(spark, "v LONG, cluster LONG",
+      SeqScanIndex.merge(g, cores.map(_._1), Seq(part)).map { case (v, c) => Row(v, c) })
+  }
 
-    val withDegs = canonical
-      .join(deg.select(col("v").as("sv"), (col("deg") + 1).as("ds")), col("src") === col("sv"))
-      .join(deg.select(col("v").as("dv"), (col("deg") + 1).as("dd")), col("dst") === col("dv"))
-      .select(col("src"), col("dst"), col("ds"), col("dd"))
-
-    val ub = measure match {
-      case Similarity.Cosine  => sqrt(least(col("ds"), col("dd")) / greatest(col("ds"), col("dd")))
-      case Similarity.Jaccard => least(col("ds"), col("dd")) / greatest(col("ds"), col("dd"))
+  /** The cores among the vertices v ≡ `stripe` (mod `stripes`), each with
+    * its ε-similar neighbors and their similarities. Degree pruning applies
+    * only when `bounded`.
+    */
+  private def coreStripe(
+      g: SeqGraph,
+      measure: Similarity.Measure,
+      bounded: Boolean,
+      mu: Int,
+      eps: Double,
+      stripe: Int,
+      stripes: Int): Array[(Int, Array[Int], Array[Double])] = {
+    val normSqs = SeqScanIndex.normSquares(g, measure == Similarity.Jaccard)
+    // The σ of an edge whose dot is the smaller closed degree, in the
+    // kernel's own expressions: rounding is monotone, so no σ exceeds it
+    // (sqrt(min/max) can round below σ, e.g. closed degrees 2 and 3).
+    def bound(dv: Double, du: Double): Double = {
+      val lo = math.min(dv, du)
+      if (measure == Similarity.Cosine) lo / math.sqrt(dv * du) else lo / (dv + du - lo)
     }
-    val candidates = withDegs
-      .filter(greatest(col("ds"), col("dd")) >= mu) // some endpoint can be a core
-      .filter(ub >= eps)                            // similarity can reach ε
-      .select("src", "dst")
-
-    val sims = Similarity.similaritiesForEdges(canonical, candidates, measure)
-
-    // Core detection: |N_ε(v)| = 1 + #(ε-similar neighbors); edges pruned
-    // above could not have had sim ≥ ε, so the count over computed sims is
-    // exact for any vertex with |N̄(v)| ≥ μ.
-    val simsSym = sims
-      .select(col("src").as("v"), col("dst").as("nbr"), col("sim"))
-      .unionByName(sims.select(col("dst").as("v"), col("src").as("nbr"), col("sim")))
-    val epsCounts = simsSym.filter(col("sim") >= eps).groupBy("v").agg(count(lit(1)).as("cnt"))
-    val coresDf = deg
-      .filter(col("deg") + 1 >= mu)
-      .join(epsCounts, Seq("v"), "left")
-      .filter(lit(1) + coalesce(col("cnt"), lit(0L)) >= mu)
-      .select("v")
-
-    val simEdges = simsSym.filter(col("sim") >= eps).join(coresDf, Seq("v"))
-    ScanQuery.clusterFrom(spark, coresDf, simEdges)
+    val out = Array.newBuilder[(Int, Array[Int], Array[Double])]
+    var v = stripe
+    while (v < g.n) {
+      val d = g.degree(v)
+      if (d + 1 >= mu) {
+        val (nbrs, sims) = (mutable.ArrayBuilder.make[Int], mutable.ArrayBuilder.make[Double])
+        var k = 0
+        while (k < d) {
+          val u = g.adj(v)(k)
+          if (!bounded || bound(d + 1.0, g.degree(u) + 1.0) >= eps) {
+            val s = SeqScanIndex.edgeSim(g, measure, normSqs, v, k)
+            if (s >= eps) { nbrs += u; sims += s }
+          }
+          k += 1
+        }
+        val epsNbrs = nbrs.result()
+        if (1 + epsNbrs.length >= mu) out += ((v, epsNbrs, sims.result()))
+      }
+      v += stripes
+    }
+    out.result()
   }
 }

@@ -16,7 +16,8 @@ import scala.collection.mutable
   * union-find — the GS*-Index query algorithm. The walk is a stripe kernel
   * (`clusterStripe`, `rolesStripe`): the sequential query runs one stripe,
   * `repro.core.ScanQuery` runs p stripes in Spark tasks over this layout,
-  * broadcast, and both finish with `merge`. Border vertices use the
+  * broadcast, and both finish with `merge`, as does ppSCAN-like
+  * (`PpScan`) over its own ε-neighbor lists. Border vertices use the
   * deterministic most-similar-core rule (§7.3.4) so outputs match across
   * implementations exactly.
   */
@@ -31,7 +32,7 @@ final class SeqScanIndex(
     val coVert: Array[Array[Int]],
     val coThresh: Array[Array[Double]])
     extends Serializable {
-  import SeqScanIndex.{Part, UnionFind, offer, prefixEnd}
+  import SeqScanIndex.{Part, merge, prefixEnd, walkEpsEdges}
 
   val maxMu: Int = coVert.length - 1
 
@@ -57,49 +58,17 @@ final class SeqScanIndex(
     * the label is the minimum original core id in the cluster's component.
     */
   def cluster(mu: Int, eps: Double): Map[Long, Long] =
-    merge(mu, eps, Seq(clusterStripe(mu, eps, 0, 1))).toMap
+    merge(g, cores(mu, eps), Seq(clusterStripe(mu, eps, 0, 1))).toMap
 
   /** Algorithm 5 for the cores at positions ≡ `stripe` (mod `stripes`) of
-    * the (μ, ε) prefix of CO[μ]: walk the ε-prefix of each one's NO, union
-    * core–core edges in a local union-find, and keep each border vertex's
-    * best core (highest similarity, ties to the lower id). Returns the
-    * spanning forest of those unions and the border picks, both O(the
-    * stripe's ε-edges).
+    * the (μ, ε) prefix of CO[μ]: the ε-edge walk over each one's NO, with
+    * the O(1) core test. O(the stripe's ε-edges).
     */
-  def clusterStripe(mu: Int, eps: Double, stripe: Int, stripes: Int): Part = {
-    val (uf, forest, borders) = (new UnionFind, Array.newBuilder[(Int, Int)], mutable.HashMap.empty[Int, (Double, Int)])
-    val cut = coreCount(mu, eps)
-    var j = stripe
-    while (j < cut) {
+  def clusterStripe(mu: Int, eps: Double, stripe: Int, stripes: Int): Part =
+    walkEpsEdges(eps, Iterator.range(stripe, coreCount(mu, eps), stripes).map { j =>
       val v = coVert(mu)(j)
-      val nbrs = noNbr(v); val sims = noSim(v)
-      val end = prefixEnd(sims, eps)
-      var i = 0
-      while (i < end) {
-        val u = nbrs(i)
-        if (!isCore(u, mu, eps)) offer(borders, u, sims(i), v)
-        else if (uf.union(v, u)) forest += ((v, u))
-        i += 1
-      }
-      j += stripes
-    }
-    Part(forest.result(), borders.toMap)
-  }
-
-  /** Joins the stripes of one query: unions their forests, labels each
-    * component with its minimum core id, and gives each border vertex the
-    * cluster of its best core over all stripes (the `clusterStripe` rule).
-    * Returns (original id, cluster) for every core and border vertex.
-    */
-  def merge(mu: Int, eps: Double, parts: Seq[Part]): Array[(Long, Long)] = {
-    val (uf, best) = (new UnionFind, mutable.HashMap.empty[Int, (Double, Int)])
-    parts.foreach(_.forest.foreach { case (a, b) => uf.union(a, b) })
-    parts.foreach(_.borders.foreach { case (u, (s, c)) => offer(best, u, s, c) })
-    // Dense ids ascend with original ids, so the minimum root is the
-    // minimum core id.
-    def label(v: Int): Long = g.ids(uf.find(v))
-    cores(mu, eps).map(v => g.ids(v) -> label(v)) ++ best.iterator.map { case (u, (_, c)) => g.ids(u) -> label(c) }
-  }
+      (v, noNbr(v), noSim(v))
+    }, isCore(_, mu, eps))
 
   /** Hubs and outliers (§4.3) given a clustering. */
   def hubsAndOutliers(clusters: Map[Long, Long]): Map[Long, String] =
@@ -112,6 +81,44 @@ object SeqScanIndex {
     * each border vertex's best core as (similarity, core), in dense ids.
     */
   final case class Part(forest: Array[(Int, Int)], borders: Map[Int, (Double, Int)])
+
+  /** Algorithm 5's ε-edge walk, shared by the index query and ppSCAN-like:
+    * for each core v with its neighbors `nbrs` and their similarities
+    * `sims`, up to the first one below ε (the ε-prefix when sorted like
+    * NO), union core–core edges in a local union-find and keep each
+    * non-core neighbor's best core (highest similarity, ties to the lower
+    * id). Returns the spanning forest of those unions and the border
+    * picks, both O(the ε-edges walked).
+    */
+  def walkEpsEdges(eps: Double, cores: Iterator[(Int, Array[Int], Array[Double])], isCore: Int => Boolean): Part = {
+    val (uf, forest, borders) = (new UnionFind, Array.newBuilder[(Int, Int)], mutable.HashMap.empty[Int, (Double, Int)])
+    cores.foreach { case (v, nbrs, sims) =>
+      var i = 0
+      while (i < nbrs.length && sims(i) >= eps) {
+        val u = nbrs(i)
+        if (!isCore(u)) offer(borders, u, sims(i), v)
+        else if (uf.union(v, u)) forest += ((v, u))
+        i += 1
+      }
+    }
+    Part(forest.result(), borders.toMap)
+  }
+
+  /** Joins the walks of one query: unions their forests, labels each
+    * component with its minimum core id, and gives each border vertex the
+    * cluster of its best core over all walks (the `walkEpsEdges` rule).
+    * Returns (original id, cluster) for every core in `cores` and every
+    * border vertex.
+    */
+  def merge(g: SeqGraph, cores: Array[Int], parts: Seq[Part]): Array[(Long, Long)] = {
+    val (uf, best) = (new UnionFind, mutable.HashMap.empty[Int, (Double, Int)])
+    parts.foreach(_.forest.foreach { case (a, b) => uf.union(a, b) })
+    parts.foreach(_.borders.foreach { case (u, (s, c)) => offer(best, u, s, c) })
+    // Dense ids ascend with original ids, so the minimum root is the
+    // minimum core id.
+    def label(v: Int): Long = g.ids(uf.find(v))
+    cores.map(v => g.ids(v) -> label(v)) ++ best.iterator.map { case (u, (_, c)) => g.ids(u) -> label(c) }
+  }
 
   /** Keep (s, core) as u's best core if it beats the current pick: higher
     * similarity, ties to the lower core id.

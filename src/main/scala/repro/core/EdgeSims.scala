@@ -82,7 +82,7 @@ object EdgeSims {
     stripes(sc, bg) { (g, v) =>
       if (g.degree(v) > t && g.adj(v).exists(g.degree(_) > t)) Iterator.single(v -> sketch(g, v)) else Iterator.empty
     }.collect().foreach { case (v, s) => sketches(v) = s }
-    val (bsk, bn) = (sc.broadcast(sketches), sc.broadcast(normSquares(g, measure)))
+    val (bsk, bn) = (sc.broadcast(sketches), sc.broadcast(SeqScanIndex.normSquares(g, measure == Similarity.Jaccard)))
     val sims = new Array[Double](g.numEdges.toInt)
     stripes(sc, bg) { (g, u) =>
       val sk = bsk.value
@@ -93,21 +93,6 @@ object EdgeSims {
       }
     }.collect().foreach { case (e, s) => sims(e) = s }
     new EdgeSims(spark, bg, sc.broadcast(sims))
-  }
-
-  /** Exact (src, dst, sim) for the edges in `subset` (src, dst), each by the
-    * per-edge merge over the prepared graph.
-    */
-  def forEdges(canonical: DataFrame, subset: DataFrame, measure: Similarity.Measure): DataFrame = {
-    val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
-    val g    = bg.value
-    val keep = new java.util.BitSet(g.numEdges.toInt)
-    subset.select("src", "dst").collect().foreach(r => keep.set(eidOf(g, r.getLong(0), r.getLong(1))))
-    val bn = spark.sparkContext.broadcast(normSquares(g, measure))
-    rows(spark, bg, "src LONG, dst LONG, sim DOUBLE") { (g, u) =>
-      upper(g, u).filter(k => keep.get(g.eids(u)(k)))
-        .map(k => Row(g.ids(u), g.ids(g.adj(u)(k)), SeqScanIndex.edgeSim(g, measure, bn.value, u, k)))
-    }
   }
 
   /** Given (src, dst, sim) for every edge, e.g. approximate ones: collect
@@ -131,9 +116,6 @@ object EdgeSims {
     require(e >= 0, s"similarities: ($src, $dst) is not an edge")
     e
   }
-
-  private def normSquares(g: SeqGraph, measure: Similarity.Measure): Array[Double] =
-    SeqScanIndex.normSquares(g, measure == Similarity.Jaccard)
 
   /** u's adjacency slots that hold its canonical edges {u, v > u}. */
   private def upper(g: SeqGraph, u: Int): Iterator[Int] = g.adj(u).indices.iterator.filter(g.adj(u)(_) > u)

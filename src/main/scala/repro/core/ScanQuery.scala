@@ -1,11 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StructType
 import repro.baseline.SeqScanIndex
-import repro.connectivity.Connectivity
 import scala.jdk.CollectionConverters._
 import scala.reflect.ClassTag
 
@@ -42,45 +39,10 @@ object ScanQuery {
   def cluster(index: ScanIndex, mu: Int, eps: Double): DataFrame = {
     require(mu >= 2, s"SCAN requires mu >= 2, got $mu")
     val (spark, layout) = (index.neighborOrder.sparkSession, index.layout)
-    val p = math.min(spark.sparkContext.defaultParallelism, layout.value.cores(mu, eps).length)
+    val cores = layout.value.cores(mu, eps)
+    val p     = math.min(spark.sparkContext.defaultParallelism, cores.length)
     val parts = inTasks(spark, p)(i => layout.value.clusterStripe(mu, eps, i, p))
-    local(spark, "v LONG, cluster LONG", layout.value.merge(mu, eps, parts).map { case (v, c) => Row(v, c) })
-  }
-
-  /** The clustering tail of the ppSCAN-like baseline: from the core set
-    * and the ε-similar edges incident on cores (v = core, nbr = any
-    * neighbor), compute components on the core-core subgraph with
-    * union-find and attach border vertices by the rule above.
-    */
-  def clusterFrom(spark: SparkSession, coresDf: DataFrame, simEdges: DataFrame): DataFrame = {
-    val coreSet = coresDf.select(col("v")).distinct()
-
-    // Core-core ε-similar edges (each appears once, canonical orientation).
-    val coreCore = simEdges
-      .join(coreSet.withColumnRenamed("v", "cv"), col("nbr") === col("cv"))
-      .filter(col("v") < col("nbr"))
-      .select(col("v").as("src"), col("nbr").as("dst"))
-
-    // Every core belongs to a cluster (possibly a singleton).
-    val comp = Connectivity.connectedComponentsUnionFind(spark, coreSet, coreCore)
-
-    // Border vertices: non-core ε-similar neighbors of cores; deterministic
-    // assignment to the most similar core (Algorithm 4, de-randomized).
-    val borderCand = simEdges
-      .join(coreSet.withColumnRenamed("v", "cv"), col("nbr") === col("cv"), "left_anti")
-    val bestCore = borderCand
-      .withColumn(
-        "rk",
-        row_number().over(Window.partitionBy("nbr").orderBy(desc("sim"), asc("v"))))
-      .filter(col("rk") === 1)
-      .select(col("nbr").as("bv"), col("v").as("core"))
-    val borders = bestCore
-      .join(comp.withColumnRenamed("v", "compv"), col("core") === col("compv"))
-      .select(col("bv").as("v"), col("component").as("cluster"))
-
-    comp
-      .select(col("v"), col("component").as("cluster"))
-      .unionByName(borders)
+    local(spark, "v LONG, cluster LONG", SeqScanIndex.merge(layout.value.g, cores, parts).map { case (v, c) => Row(v, c) })
   }
 
   /** Hubs and outliers (§4.3): unclustered vertices classified by how many
@@ -100,12 +62,12 @@ object ScanQuery {
   }
 
   /** f(0), ..., f(p − 1) in one job of p tasks; no job when p = 0. */
-  private def inTasks[T: ClassTag](spark: SparkSession, p: Int)(f: Int => T): Seq[T] =
+  private[repro] def inTasks[T: ClassTag](spark: SparkSession, p: Int)(f: Int => T): Seq[T] =
     if (p == 0) Seq.empty else spark.sparkContext.parallelize(0 until p, p).map(f).collect().toSeq
 
   /** A DataFrame over driver-side rows (a local relation: collecting it
     * runs no job).
     */
-  private def local(spark: SparkSession, schema: String, rows: Seq[Row]): DataFrame =
+  private[repro] def local(spark: SparkSession, schema: String, rows: Seq[Row]): DataFrame =
     spark.createDataFrame(rows.asJava, StructType.fromDDL(schema))
 }

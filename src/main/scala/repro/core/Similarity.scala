@@ -32,12 +32,4 @@ object Similarity {
     */
   def similarities(canonical: DataFrame, measure: Measure): DataFrame =
     EdgeSims.exact(canonical, measure).similarities
-
-  /** Exact similarities restricted to `subset` (columns src, dst; must be
-    * a subset of the graph's edges): Algorithm 1 per edge, merging the two
-    * endpoints' sorted adjacency lists over the broadcast CSR (`EdgeSims`).
-    * Returns (src, dst, sim) in canonical orientation.
-    */
-  def similaritiesForEdges(canonical: DataFrame, subset: DataFrame, measure: Measure): DataFrame =
-    EdgeSims.forEdges(canonical, subset, measure)
 }

@@ -122,14 +122,30 @@ class BaselineSpec extends SparkSpec {
 
   // --------------------------------------------------------- ppSCAN-like --
 
-  private def checkPpScan(name: String, g: => DataFrame, params: Seq[(Int, Double)]): Unit = {
+  // ppSCAN-like shares the ε-edge walk and `merge` with the index query, so
+  // it is also checked against original SCAN, which shares neither.
+  private def checkPpScan(name: String, g: => DataFrame, weighted: Boolean, params: Seq[(Int, Double)]): Unit = {
     lazy val graph = g.cache()
     lazy val index = ScanIndex.build(graph, Similarity.Cosine).cache()
+    lazy val sg    = SeqGraph.fromDataFrame(graph)
     for ((mu, eps) <- params) {
       test(s"ppSCAN-like equals the index query on $name at (mu=$mu, eps=$eps)") {
         val a = TestUtil.clustersToMap(PpScan.cluster(graph, Similarity.Cosine, mu, eps))
         val b = TestUtil.clustersToMap(ScanQuery.cluster(index, mu, eps))
         assert(a == b)
+        val scan =
+          if (!weighted) SeqScan.cluster(sg, Similarity.Cosine, mu, eps)
+          else {
+            // Weighted sims: feed Spark-computed values into the reference
+            // so FP summation order cannot flip >= eps at the boundary.
+            val sims = TestUtil.simsToMap(index.similarities)
+            SeqScan.clusterWithSims(
+              sg,
+              (u, v) => sims((math.min(sg.ids(u), sg.ids(v)), math.max(sg.ids(u), sg.ids(v)))),
+              mu,
+              eps)
+          }
+        assert(a == scan)
       }
     }
   }
@@ -137,36 +153,62 @@ class BaselineSpec extends SparkSpec {
   checkPpScan(
     "figureLike",
     GraphGen.figureLike(spark),
+    weighted = false,
     Seq((2, 0.44), (3, 0.8), (2, 0.9), (4, 0.85)))
   checkPpScan(
     "rmat-9",
     GraphGen.rmat(spark, 9, 2200, seed = 85),
+    weighted = false,
     Seq((2, 0.3), (3, 0.6), (5, 0.5), (5, 0.9)))
   checkPpScan(
     "dense-weighted-60",
     GraphGen.denseWeighted(spark, 60, 700, seed = 86),
+    weighted = true,
     Seq((2, 0.5), (4, 0.7)))
 
-  // The cap is the count this query measures on the test session; with the
-  // closed-neighborhood join in similaritiesForEdges it ran 267.
-  test("a ppSCAN-like query on figureLike runs at most 24 Spark jobs") {
+  // A fresh graph is prepared by the query's first job; a prepared one
+  // leaves only the stripe job.
+  test("a ppSCAN-like query runs at most 2 Spark jobs, 1 on a prepared graph") {
     val g = GraphGen.figureLike(spark).cache()
     g.count()
     val jobs = TestUtil.sparkJobs(spark)(PpScan.cluster(g, Similarity.Cosine, 3, 0.8).collect())
-    info(s"$jobs jobs")
-    assert(jobs <= 24, s"$jobs Spark jobs")
+    val again = TestUtil.sparkJobs(spark)(PpScan.cluster(g, Similarity.Cosine, 2, 0.5).collect())
+    info(s"$jobs jobs, then $again")
+    assert(jobs <= 2, s"$jobs Spark jobs")
+    assert(again <= 1, s"$again Spark jobs on the prepared graph")
     g.unpersist()
   }
 
   test("ppSCAN-like on jaccard equals the jaccard index query") {
     val g     = GraphGen.rmat(spark, 9, 1800, seed = 87).cache()
     val index = ScanIndex.build(g, Similarity.Jaccard).cache()
+    val sg    = SeqGraph.fromDataFrame(g)
     for ((mu, eps) <- Seq((2, 0.3), (3, 0.5))) {
       val a = TestUtil.clustersToMap(PpScan.cluster(g, Similarity.Jaccard, mu, eps))
       val b = TestUtil.clustersToMap(ScanQuery.cluster(index, mu, eps))
       assert(a == b, s"(mu=$mu, eps=$eps)")
+      assert(a == SeqScan.cluster(sg, Similarity.Jaccard, mu, eps), s"SCAN (mu=$mu, eps=$eps)")
     }
     index.unpersist(); g.unpersist()
+  }
+
+  // σ(1, 2) ≈ 0.9995, but the unit-weight degree bound sqrt(2/22) ≈ 0.30.
+  test("ppSCAN-like does not degree-prune a heavy edge on a weighted graph") {
+    val g  = GraphGen.fromWeightedEdges(spark, (1L, 2L, 1.0) +: (100L to 119L).map(x => (2L, x, 0.01)))
+    val sg = SeqGraph.fromDataFrame(g)
+    val expect = Map(1L -> 1L, 2L -> 1L)
+    assert(SeqScan.cluster(sg, Similarity.Cosine, 2, 0.5) == expect)
+    assert(TestUtil.clustersToMap(PpScan.cluster(g, Similarity.Cosine, 2, 0.5)) == expect)
+  }
+
+  // Path 0-1-2: σ = 2/sqrt(6) on both edges, while sqrt(2/3) rounds one ulp
+  // below it, so a bound computed that way prunes both at ε = σ.
+  test("ppSCAN-like keeps an edge tied with eps at its degree bound") {
+    val g   = GraphGen.path(spark, 3)
+    val eps = 2.0 / math.sqrt(6.0)
+    val expect = SeqScan.cluster(SeqGraph.fromDataFrame(g), Similarity.Cosine, 2, eps)
+    assert(expect == Map(0L -> 0L, 1L -> 0L, 2L -> 0L))
+    assert(TestUtil.clustersToMap(PpScan.cluster(g, Similarity.Cosine, 2, eps)) == expect)
   }
 
   test("degree pruning bound is valid: pruned edges are never eps-similar") {

@@ -121,8 +121,15 @@ class SimilaritySpec extends SparkSpec {
   }
 
   // ------------------------------------------- directed vs naive vs seq --
-  // "naive" is Algorithm 1 per edge (`similaritiesForEdges` over every
-  // edge): a per-edge merge, not the directed triangle kernel.
+  // "naive" is Algorithm 1 per edge (`SeqScanIndex.edgeSim` over every
+  // edge of the CSR): a per-edge merge, not the directed triangle kernel.
+
+  private def naiveSims(g: DataFrame, m: Similarity.Measure): Map[(Long, Long), Double] = {
+    val sg = SeqGraph.fromDataFrame(g)
+    val ns = SeqScanIndex.normSquares(sg, unweighted = m == Similarity.Jaccard)
+    (for (u <- 0 until sg.n; k <- sg.adj(u).indices if sg.adj(u)(k) > u)
+      yield (sg.ids(u), sg.ids(sg.adj(u)(k))) -> SeqScanIndex.edgeSim(sg, m, ns, u, k)).toMap
+  }
 
   for ((name, gen, weighted) <- Seq(
       ("figureLike", () => GraphGen.figureLike(spark), false),
@@ -135,7 +142,7 @@ class SimilaritySpec extends SparkSpec {
       val tol = if (weighted) 1e-9 else 0.0
       TestUtil.assertSimsEqual(
         TestUtil.simsToMap(Similarity.similarities(g, Similarity.Cosine)),
-        TestUtil.simsToMap(Similarity.similaritiesForEdges(g, g, Similarity.Cosine)),
+        naiveSims(g, Similarity.Cosine),
         tol)
     }
 
@@ -161,7 +168,7 @@ class SimilaritySpec extends SparkSpec {
     val g  = GraphGen.rmat(spark, 9, 2000, seed = 44)
     val sg = SeqGraph.fromDataFrame(g)
     val a  = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Jaccard))
-    val b  = TestUtil.simsToMap(Similarity.similaritiesForEdges(g, g, Similarity.Jaccard))
+    val b  = naiveSims(g, Similarity.Jaccard)
     TestUtil.assertSimsEqual(a, b, 0.0)
     val basic = SeqScanIndex.simsBasic(sg, Similarity.Jaccard)
     a.foreach { case ((u, v), s) =>
@@ -169,17 +176,6 @@ class SimilaritySpec extends SparkSpec {
       val k = (math.min(ui, vi).toLong << 32) | (math.max(ui, vi).toLong & 0xffffffffL)
       assert(basic(k) == s, s"jaccard mismatch on ($u,$v)")
     }
-  }
-
-  // --------------------------------------------------------- edge subset --
-
-  test("similaritiesForEdges on a subset matches the full computation") {
-    val g      = GraphGen.rmat(spark, 9, 1500, seed = 51)
-    val subset = g.limit(200).select("src", "dst")
-    val sub    = TestUtil.simsToMap(Similarity.similaritiesForEdges(g, subset, Similarity.Cosine))
-    val full   = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Cosine))
-    assert(sub.size == subset.count())
-    sub.foreach { case (k, v) => assert(v == full(k), s"subset mismatch at $k") }
   }
 
   test("jaccard ignores weights (weighted graph treated as unweighted)") {
