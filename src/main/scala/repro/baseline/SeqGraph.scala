@@ -61,12 +61,6 @@ final class SeqGraph(
     val i = java.util.Arrays.binarySearch(adj(u), v)
     if (i >= 0) wts(u)(i) else 0.0
   }
-
-  /** v's adjacency slots in neighbor order (NO[v]), given similarities
-    * aligned with `adj(v)`: descending similarity, ties by ascending
-    * neighbor id. Both the sequential and the Spark index sort with it.
-    */
-  def neighborOrder(v: Int, sims: Array[Double]): Array[Int] = SeqGraph.simOrder(sims, adj(v))
 }
 
 object SeqGraph {

@@ -347,21 +347,27 @@ object SeqScanIndex {
       case Similarity.Jaccard => dot / ((g.degree(u) + 1) + (g.degree(v) + 1) - dot)
     }
 
-  /** Assemble the index from similarities by edge id (`SeqGraph.eids`):
-    * each vertex sorts its NO with `SeqGraph.neighborOrder`, then drops its
+  /** Assemble the index from similarities by edge id (`SeqGraph.eids`). */
+  def buildFromSims(g: SeqGraph, sims: Array[Double]): SeqScanIndex = {
+    val no = Array.tabulate(g.n)(neighborOrder(g, sims, _))
+    fromNeighborOrders(g, no.map(_._1), no.map(_._2))
+  }
+
+  /** NO[v] as (neighbors, similarities): v's list by descending similarity,
+    * ties by ascending neighbor id. The Spark build's tasks call it too.
+    */
+  def neighborOrder(g: SeqGraph, sims: Array[Double], v: Int): (Array[Int], Array[Double]) = {
+    val vs    = g.eids(v).map(sims)
+    val order = SeqGraph.simOrder(vs, g.adj(v))
+    (order.map(g.adj(v)), order.map(vs))
+  }
+
+  /** The index over given neighbor orders: each vertex drops its NO
     * entries straight into CO[2..deg+1] — v's NO entry at rank μ (slot
-    * μ−2) is its CO[μ] threshold — and each CO[μ] is sorted with the same
+    * μ−2) is its CO[μ] threshold — and each CO[μ] is sorted with NO's
     * comparator. O(m log m).
     */
-  def buildFromSims(g: SeqGraph, sims: Array[Double]): SeqScanIndex = {
-    val noNbr = new Array[Array[Int]](g.n)
-    val noSim = new Array[Array[Double]](g.n)
-    for (v <- 0 until g.n) {
-      val vs    = g.eids(v).map(sims)
-      val order = g.neighborOrder(v, vs)
-      noNbr(v) = order.map(g.adj(v))
-      noSim(v) = order.map(vs)
-    }
+  def fromNeighborOrders(g: SeqGraph, noNbr: Array[Array[Int]], noSim: Array[Array[Double]]): SeqScanIndex = {
     // CO[mu] for mu in 2..maxMu; mu = 0, 1 stay empty.
     val maxMu = g.maxDegree + 1
     val size  = new Array[Int](maxMu + 1)

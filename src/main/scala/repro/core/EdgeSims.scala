@@ -3,44 +3,27 @@ package repro.core
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
 import org.apache.spark.sql.types.StructType
 import repro.approx.{MinHashOPH, SimHash}
 import repro.baseline.{SeqGraph, SeqScanIndex}
 import scala.reflect.ClassTag
 
 /** Per-edge similarities by `SeqGraph.eids`, broadcast beside their
-  * prepared graph (`PreparedGraph`). Every DataFrame read off them runs in
+  * prepared graph (`PreparedGraph`). A DataFrame read off them runs in
   * p = defaultParallelism tasks, task i over the vertex stripe
   * v ≡ i (mod p): §6.1's parallel loop over vertices.
   */
-final class EdgeSims private (spark: SparkSession, val graph: Broadcast[SeqGraph], sims: Broadcast[Array[Double]]) {
+final class EdgeSims private (val spark: SparkSession, val graph: Broadcast[SeqGraph], private[core] val byEdge: Broadcast[Array[Double]]) {
 
   /** (src, dst, sim) in canonical orientation. */
   def similarities: DataFrame = {
-    val bs = sims
-    EdgeSims.rows(spark, graph, "src LONG, dst LONG, sim DOUBLE") { (g, u) =>
+    val (bg, bs) = (graph, byEdge)
+    EdgeSims.rows(spark, bg.value.n, "src LONG, dst LONG, sim DOUBLE") { u =>
+      val g = bg.value
       EdgeSims.upper(g, u).map(k => Row(g.ids(u), g.ids(g.adj(u)(k)), bs.value(g.eids(u)(k))))
     }
   }
-
-  /** NO (v, rank, nbr, sim): each vertex sorts its own list with
-    * `SeqGraph.neighborOrder`; ranks run 2..deg+1.
-    */
-  def neighborOrder: DataFrame = {
-    val bs = sims
-    EdgeSims.rows(spark, graph, "v LONG, rank INT, nbr LONG, sim DOUBLE") { (g, v) =>
-      val vs = g.eids(v).map(bs.value(_))
-      g.neighborOrder(v, vs).iterator.zipWithIndex.map { case (k, i) => Row(g.ids(v), i + 2, g.ids(g.adj(v)(k)), vs(k)) }
-    }
-  }
-
-  /** NO and CO as per-vertex arrays (`SeqScanIndex.buildFromSims`, the
-    * same orders as `neighborOrder` and the CO window), assembled on the
-    * driver and broadcast: the layout every index query reads.
-    */
-  def layout: Broadcast[SeqScanIndex] =
-    spark.sparkContext.broadcast(SeqScanIndex.buildFromSims(graph.value, sims.value))
 }
 
 object EdgeSims {
@@ -52,12 +35,23 @@ object EdgeSims {
   def exact(canonical: DataFrame, measure: Similarity.Measure): EdgeSims = {
     val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
     val (g, m, p)   = (bg.value, bg.value.numEdges.toInt, spark.sparkContext.defaultParallelism)
+    requireTriangleSumFits(p, m, Runtime.getRuntime.maxMemory)
     val tri = spark.sparkContext.parallelize(0 until p, p).map { i =>
       val t = new Array[Double](m)
       SeqScanIndex.mergeStripe(bg.value, measure, t, i, p)
       t
     }.collect().reduceLeft((a, b) => { for (e <- 0 until m) a(e) += b(e); a })
     new EdgeSims(spark, bg, spark.sparkContext.broadcast(SeqScanIndex.simsByEdge(g, measure, tri)))
+  }
+
+  /** `exact` holds the p stripes' triangle arrays on the driver, to sum
+    * them in stripe order (deterministic weighted sums): p·m·8 bytes, at
+    * most a quarter of the driver's max heap.
+    */
+  private[core] def requireTriangleSumFits(p: Int, m: Long, maxHeap: Long): Unit = {
+    val bytes = p * m * 8
+    require(bytes <= maxHeap / 4,
+      s"exact similarities: $p stripes × $m edges × 8 B = $bytes B of triangle sums exceed a quarter of the driver's max heap ($maxHeap B)")
   }
 
   /** LSH similarities (§5) on the edges whose endpoints both have degree
@@ -126,6 +120,12 @@ object EdgeSims {
     sc.parallelize(0 until p, p).flatMap(i => Iterator.range(i, bg.value.n, p).flatMap(f(bg.value, _)))
   }
 
-  private def rows(spark: SparkSession, bg: Broadcast[SeqGraph], schema: String)(f: (SeqGraph, Int) => Iterator[Row]): DataFrame =
-    spark.createDataFrame(stripes(spark.sparkContext, bg)(f), StructType.fromDDL(schema))
+  /** The rows f gives for 0 until n, task i over x ≡ i (mod p) as in
+    * `stripes`. A Dataset serializes f only when an action runs, so a view
+    * of a released index can still be defined.
+    */
+  private[core] def rows(spark: SparkSession, n: Int, schema: String)(f: Int => Iterator[Row]): DataFrame = {
+    val p = spark.sparkContext.defaultParallelism
+    spark.range(0, p, 1, p).flatMap((i: java.lang.Long) => Iterator.range(i.toInt, n, p).flatMap(f))(Encoders.row(StructType.fromDDL(schema)))
+  }
 }

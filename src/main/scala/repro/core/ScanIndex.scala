@@ -1,73 +1,69 @@
 package repro.core
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import repro.baseline.SeqScanIndex
 
-/** The GS*-Index structure (§3.2 / §4.1, Algorithm 2) as DataFrames.
+/** The GS*-Index structure (§3.2 / §4.1, Algorithm 2): NO and CO as arrays
+  * (`SeqScanIndex`), built by the build and broadcast once as `layout`,
+  * which every index query reads.
   *
-  * - `neighborOrder` (NO): (v, rank, nbr, sim). `rank` starts at 2 because
-  *   rank 1 of NO[v] is implicitly v itself with σ(v,v) = 1 — a vertex is
-  *   always in its own ε-neighborhood, so the μ-th entry of the closed
-  *   neighbor order is the (μ−1)-th most similar neighbor. Ties broken by
-  *   ascending neighbor id for determinism.
-  * - `coreOrder` (CO): (mu, coreRank, v, threshold). Row (μ, ·, v, t) means
-  *   |N̄(v)| ≥ μ, and v is a core at (μ, ε) iff t ≥ ε. Derived directly
-  *   from NO: mu = rank, threshold = sim. Size Σ_v deg(v) = 2m = O(m),
-  *   matching the paper's index-space bound.
+  * - NO[v]: v's neighbors by descending similarity, ties by ascending id.
+  *   Rank 1 of the closed neighbor order is v itself with σ(v,v) = 1, so
+  *   the μ-th entry is the (μ−1)-th most similar neighbor.
+  * - CO[μ]: the vertices with |N̄(v)| ≥ μ by descending threshold (v's NO
+  *   similarity at rank μ); v is a core at (μ, ε) iff its threshold is
+  *   ≥ ε. Size Σ_v deg(v) = 2m, the paper's index-space bound.
   *
-  * The sorted orders (`rank`, `coreRank`) materialize the paper's
-  * sorted-prefix property: the ε-similar neighbors of v are exactly the
-  * NO[v] ranks ≤ some cut, and the (μ, ε)-cores are a prefix of CO[μ].
-  *
-  * Queries read the same orders as arrays (`layout`), built from the
-  * `edgeSims` the index came from.
+  * The ε-similar neighbors of v are a prefix of NO[v], and the
+  * (μ, ε)-cores a prefix of CO[μ]. The DataFrames below are uncached views
+  * of the arrays, for tests and checks: `neighborOrder` (v, rank, nbr, sim)
+  * with rank 2..deg+1, written by vertex stripes, and `coreOrder` (mu,
+  * coreRank, v, threshold) with coreRank from 1, written by μ stripes.
   */
-final case class ScanIndex(
-    similarities: DataFrame,
-    neighborOrder: DataFrame,
-    coreOrder: DataFrame,
-    edgeSims: EdgeSims) {
+final class ScanIndex private (edgeSims: EdgeSims, val layout: Broadcast[SeqScanIndex], kept: Option[DataFrame]) {
 
-  /** The query layout: NO and CO as per-vertex arrays, broadcast. Built on
-    * the first query, so building and materializing the index do not pay
-    * for it.
-    */
-  lazy val layout: Broadcast[SeqScanIndex] = edgeSims.layout
+  /** Kept here so a query builds no DataFrame to find its session. */
+  val spark: SparkSession = edgeSims.spark
 
-  /** Cache all index DataFrames (index construction is the expensive
-    * precomputation; queries must not recompute it).
+  /** Largest μ for which any vertex can be a core (= max |N̄(v)|); 1 for an
+    * index with no edges.
     */
-  def cache(): ScanIndex = {
-    similarities.cache(); neighborOrder.cache(); coreOrder.cache()
-    this
+  val maxMu: Int = layout.value.maxMu
+
+  /** (src, dst, sim): the DataFrame given to `fromSimilarities`, else a view. */
+  def similarities: DataFrame = kept.getOrElse(edgeSims.similarities)
+
+  def neighborOrder: DataFrame = {
+    val bl = layout
+    EdgeSims.rows(spark, edgeSims.graph.value.n, "v LONG, rank INT, nbr LONG, sim DOUBLE") { v =>
+      val ix = bl.value
+      ix.noNbr(v).indices.iterator.map(i => Row(ix.g.ids(v), i + 2, ix.g.ids(ix.noNbr(v)(i)), ix.noSim(v)(i)))
+    }
   }
 
-  /** Force materialization (for timing index construction end-to-end).
-    *
-    * Assumes the index is cached (see `cache()`): the scan of `coreOrder`
-    * also computes and stores the neighbor order it is sorted from; the
-    * remaining counts fill the other caches. Without caching, separate
-    * counts would recompute (or let Catalyst prune!) the expensive
-    * operators and the timing would not reflect a usable index.
-    */
-  def materialize(): ScanIndex = {
-    coreOrder.count()
-    neighborOrder.count(); similarities.count()
-    this
+  def coreOrder: DataFrame = {
+    val bl = layout
+    EdgeSims.rows(spark, maxMu + 1, "mu INT, coreRank INT, v LONG, threshold DOUBLE") { mu =>
+      val ix = bl.value
+      ix.coVert(mu).indices.iterator.map(j => Row(mu, j + 1, ix.g.ids(ix.coVert(mu)(j)), ix.coThresh(mu)(j)))
+    }
   }
 
-  /** Release what `cache()` cached; the prepared graph stays. */
+  /** A no-op: the build leaves the index in memory, as broadcast arrays. */
+  def cache(): ScanIndex = this
+
+  /** A no-op: the build has built every array of the index. */
+  def materialize(): ScanIndex = this
+
+  /** Destroy the index's broadcast similarities and layout and unpersist
+    * the DataFrame `fromSimilarities` kept; the prepared graph stays.
+    */
   def unpersist(): Unit = {
-    similarities.unpersist(); neighborOrder.unpersist(); coreOrder.unpersist()
+    kept.foreach(_.unpersist())
+    edgeSims.byEdge.destroy()
+    layout.destroy()
   }
-
-  /** Largest μ for which any vertex can be a core (= max |N̄(v)|, read
-    * off the index's graph); 1 for an index with no edges.
-    */
-  lazy val maxMu: Int = edgeSims.graph.value.maxDegree + 1
 }
 
 object ScanIndex {
@@ -77,24 +73,26 @@ object ScanIndex {
     fromEdgeSims(EdgeSims.exact(canonical, measure))
 
   /** Build the index from precomputed per-edge similarities. The index
-    * keeps `sims` as its `similarities`, so `unpersist` releases it with
-    * the rest of the index. It is cached before the collect, so a costly
-    * producer runs once, not again when the index is materialized.
+    * keeps `sims` as its `similarities`, cached before the collect so a
+    * costly producer runs once; `unpersist` releases it.
     */
   def fromSimilarities(canonical: DataFrame, sims: DataFrame): ScanIndex =
-    fromEdgeSims(EdgeSims.collect(canonical, sims.cache())).copy(similarities = sims)
+    assemble(EdgeSims.collect(canonical, sims.cache()), Some(sims))
 
-  /** NO written per vertex; CO one window over NO: row (μ, ·, v, t) for
-    * every NO row (v, μ, ·, t), ranked within μ by descending threshold.
+  /** The index over given similarities, e.g. `EdgeSims.approx`'s estimates. */
+  def fromEdgeSims(sims: EdgeSims): ScanIndex = assemble(sims, None)
+
+  /** One job of p vertex stripes, task i sorting NO[v] for v ≡ i (mod p)
+    * and returning the arrays; the driver assembles CO from them as the
+    * sequential build does, and broadcasts the index.
     */
-  def fromEdgeSims(sims: EdgeSims): ScanIndex = {
-    val no = sims.neighborOrder
-    val co = no
-      .select(col("rank").as("mu"), col("v"), col("sim").as("threshold"))
-      .withColumn(
-        "coreRank",
-        row_number().over(Window.partitionBy("mu").orderBy(desc("threshold"), asc("v"))))
-      .select("mu", "coreRank", "v", "threshold")
-    ScanIndex(sims.similarities, no, co, sims)
+  private def assemble(sims: EdgeSims, kept: Option[DataFrame]): ScanIndex = {
+    val (sc, bg, bs) = (sims.spark.sparkContext, sims.graph, sims.byEdge)
+    val (g, p)       = (bg.value, sc.defaultParallelism)
+    val parts = sc.parallelize(0 until p, p).map { i =>
+      Iterator.range(i, bg.value.n, p).map(SeqScanIndex.neighborOrder(bg.value, bs.value, _)).toArray
+    }.collect()
+    val no = Array.tabulate(g.n)(v => parts(v % p)(v / p))
+    new ScanIndex(sims, sc.broadcast(SeqScanIndex.fromNeighborOrders(g, no.map(_._1), no.map(_._2))), kept)
   }
 }

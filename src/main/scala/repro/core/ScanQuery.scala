@@ -28,7 +28,7 @@ object ScanQuery {
   def cores(index: ScanIndex, mu: Int, eps: Double): DataFrame = {
     require(mu >= 2, s"SCAN requires mu >= 2, got $mu")
     val ix = index.layout.value
-    local(index.neighborOrder.sparkSession, "v LONG", ix.cores(mu, eps).map(v => Row(ix.g.ids(v))))
+    local(index.spark, "v LONG", ix.cores(mu, eps).map(v => Row(ix.g.ids(v))))
   }
 
   /** Cluster (Algorithm 5): full clustering for (μ, ε) as (v, cluster).
@@ -38,7 +38,7 @@ object ScanQuery {
     */
   def cluster(index: ScanIndex, mu: Int, eps: Double): DataFrame = {
     require(mu >= 2, s"SCAN requires mu >= 2, got $mu")
-    val (spark, layout) = (index.neighborOrder.sparkSession, index.layout)
+    val (spark, layout) = (index.spark, index.layout)
     val cores = layout.value.cores(mu, eps)
     val p     = math.min(spark.sparkContext.defaultParallelism, cores.length)
     val parts = inTasks(spark, p)(i => layout.value.clusterStripe(mu, eps, i, p))

@@ -31,8 +31,6 @@ object F5Construction {
       val (_, tBasic) = Timing.medianTime(trials)(SeqScanIndex.buildBasic(g, Similarity.Cosine))
       val (_, tOpt)   = Timing.medianTime(trials)(SeqScanIndex.buildOpt(g, Similarity.Cosine))
       val (_, tSpark) = Timing.medianTime(trials) {
-        // cache() before materialize(): sims feed both orders, and build
-        // time must not count the recomputation of uncached lineage.
         val idx = ScanIndex.build(edges, Similarity.Cosine).cache().materialize()
         idx.unpersist()
         idx

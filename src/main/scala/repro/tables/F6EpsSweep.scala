@@ -34,10 +34,10 @@ object F6EpsSweep {
       val seqIdx = SeqScanIndex.buildOpt(g, Similarity.Cosine)
 
       val out = epsList.map { eps =>
-        val (_, tOurs) = Timing.medianTime(trials)(ScanQuery.cluster(index, mu, eps).count())
+        val (_, tOurs) = Timing.medianTime(trials)(ScanQuery.cluster(index, mu, eps).collect())
         val (_, tSeq)  = Timing.medianTime(trials)(seqIdx.cluster(mu, eps))
         val (_, tPp)   = Timing.medianTime(trials)(
-          PpScan.cluster(edges, Similarity.Cosine, mu, eps).count())
+          PpScan.cluster(edges, Similarity.Cosine, mu, eps).collect())
         Seq(bg.name, f"$eps%.1f", secs(tOurs), secs(tSeq), secs(tPp))
       }
       index.unpersist()

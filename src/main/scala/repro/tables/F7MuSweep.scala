@@ -32,10 +32,10 @@ object F7MuSweep {
         .toSeq
 
       val out = mus.map { mu =>
-        val (_, tOurs) = Timing.medianTime(trials)(ScanQuery.cluster(index, mu, eps).count())
+        val (_, tOurs) = Timing.medianTime(trials)(ScanQuery.cluster(index, mu, eps).collect())
         val (_, tSeq)  = Timing.medianTime(trials)(seqIdx.cluster(mu, eps))
         val (_, tPp)   = Timing.medianTime(trials)(
-          PpScan.cluster(edges, Similarity.Cosine, mu, eps).count())
+          PpScan.cluster(edges, Similarity.Cosine, mu, eps).collect())
         Seq(bg.name, mu.toString, secs(tOurs), secs(tSeq), secs(tPp))
       }
       index.unpersist()

@@ -181,16 +181,15 @@ class ApproxSpec extends SparkSpec {
     exact.unpersist(); approxIdx.unpersist()
   }
 
-  // The cap is the count this build measures on the test session (collect
-  // the graph, sketch, estimate, then NO/CO); the DataFrame sketch/join
-  // pipeline it replaced ran 65.
-  test("an approximate SimHash build of a dense weighted graph runs at most 13 Spark jobs") {
+  // The cap is the count this build measures on the test session: collect
+  // the graph, sketch, estimate, then the NO job.
+  test("an approximate SimHash build of a dense weighted graph runs at most 4 Spark jobs") {
     val g = GraphGen.denseWeighted(spark, 60, 1200, seed = 37).cache()
     g.count()
     var idx: ScanIndex = null
     val jobs = TestUtil.sparkJobs(spark) { idx = ApproxSimilarity.buildIndex(g, Similarity.Cosine, 32, seed = 38).cache().materialize() }
     info(s"$jobs jobs")
-    assert(jobs <= 13, s"$jobs Spark jobs")
+    assert(jobs <= 4, s"$jobs Spark jobs")
     idx.unpersist(); g.unpersist()
   }
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.SparkException
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
@@ -210,17 +211,42 @@ class ScanIndexSpec extends SparkSpec {
 
   // -------------------------------------------------- structural gate ---
 
-  // The cap is the count this build measures on the test session (adaptive
-  // execution on, so each shuffle stage is a job of its own); the DataFrame
-  // wedge pipeline it replaced ran 33.
-  test("an exact build of RMAT-9 runs at most 17 Spark jobs") {
+  // Caps are the counts this build measures: cold, it collects the graph,
+  // then runs the triangle job and the NO job; warm, the graph is already
+  // prepared. The first query then runs only its own job.
+  test("a cold exact build of RMAT-9 runs at most 3 Spark jobs, a warm one 2, and its first query 1") {
     val graph = GraphGen.rmat(spark, 9, 2000, seed = 65).cache()
     graph.count()
     var idx: ScanIndex = null
-    val jobs = TestUtil.sparkJobs(spark) { idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize() }
-    info(s"$jobs jobs")
-    assert(jobs <= 17, s"$jobs Spark jobs")
+    val cold = TestUtil.sparkJobs(spark) { idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize() }
+    idx.unpersist()
+    val warm  = TestUtil.sparkJobs(spark) { idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize() }
+    val query = TestUtil.sparkJobs(spark)(ScanQuery.cluster(idx, 3, 0.6).collect())
+    info(s"cold $cold, warm $warm, first query $query jobs")
+    assert(cold <= 3, s"$cold Spark jobs")
+    assert(warm <= 2, s"$warm Spark jobs")
+    assert(query <= 1, s"$query Spark jobs")
     idx.unpersist(); graph.unpersist()
+  }
+
+  test("unpersist destroys the index's broadcasts but not the prepared graph") {
+    val graph = GraphGen.rmat(spark, 8, 900, seed = 67).cache()
+    val idx = ScanIndex.build(graph, Similarity.Cosine)
+    idx.unpersist()
+    intercept[SparkException](idx.layout.value)
+    intercept[SparkException](idx.similarities.collect())
+    var again: ScanIndex = null
+    val jobs = TestUtil.sparkJobs(spark) { again = ScanIndex.build(graph, Similarity.Cosine) }
+    assert(jobs <= 2, s"$jobs Spark jobs: the second build collected the graph again")
+    val seq = SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(graph), Similarity.Cosine)
+    assert(TestUtil.clustersToMap(ScanQuery.cluster(again, 3, 0.5)) == seq.cluster(3, 0.5))
+    again.unpersist(); graph.unpersist()
+  }
+
+  test("the driver sum of the triangle arrays is bounded by the heap") {
+    EdgeSims.requireTriangleSumFits(4, 1000000L, 1L << 30)
+    val e = intercept[IllegalArgumentException](EdgeSims.requireTriangleSumFits(4, 1000000000L, 8L << 30))
+    assert(Seq("4 stripes", "1000000000 edges", "32000000000 B").forall(e.getMessage.contains), e.getMessage)
   }
 
   // The first build prepares the graph (one collect); the second reads the

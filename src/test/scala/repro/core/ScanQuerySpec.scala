@@ -234,7 +234,7 @@ class ScanQuerySpec extends SparkSpec {
   test("on RMAT-9 a query runs at most 1 Spark job, an empty one 0 and its roles at most 1") {
     val g = GraphGen.rmat(spark, 9, 2000, seed = 65).cache()
     val idx = ScanIndex.build(g, Similarity.Cosine).cache().materialize()
-    val (maxMu, _) = (idx.maxMu, idx.layout)
+    val maxMu = idx.maxMu
     var clusters: DataFrame = null
     val query = TestUtil.sparkJobs(spark) { clusters = ScanQuery.cluster(idx, 3, 0.6); clusters.collect() }
     val empty = TestUtil.sparkJobs(spark) {
