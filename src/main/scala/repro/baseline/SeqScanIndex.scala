@@ -72,7 +72,7 @@ final class SeqScanIndex(
 
   /** Hubs and outliers (§4.3) given a clustering. */
   def hubsAndOutliers(clusters: Map[Long, Long]): Map[Long, String] =
-    SeqScanIndex.rolesStripe(g, clusters, 0, 1).toMap
+    SeqScanIndex.rolesStripe(g, SeqScanIndex.labels(g.ids, clusters.iterator), 0, 1).toMap
 }
 
 object SeqScanIndex {
@@ -146,13 +146,28 @@ object SeqScanIndex {
     }
   }
 
-  /** §4.3 for the vertices v ≡ `stripe` (mod `stripes`) that `clusters`
-    * (original id -> cluster) leaves out: a hub if its neighbors lie in at
-    * least two clusters, otherwise an outlier.
+  /** A clustering as dense labels over `ids` (ascending original ids):
+    * each distinct cluster of `clusters` (original id -> cluster) gets a
+    * label from 0 up, each vertex it leaves out −1, which no cluster
+    * shares whatever the ids' signs. Vertices not in `ids` are ignored.
+    * Roles, modularity and ARI all read this array.
     */
-  def rolesStripe(g: SeqGraph, clusters: Map[Long, Long], stripe: Int, stripes: Int): Iterator[(Long, String)] =
-    Iterator.range(stripe, g.n, stripes).filterNot(v => clusters.contains(g.ids(v))).map { v =>
-      val seen = g.adj(v).iterator.flatMap(u => clusters.get(g.ids(u))).distinct.take(2).size
+  def labels(ids: Array[Long], clusters: Iterator[(Long, Long)]): Array[Int] = {
+    val (out, dense) = (Array.fill(ids.length)(-1), mutable.HashMap.empty[Long, Int])
+    clusters.foreach { case (v, c) =>
+      val i = java.util.Arrays.binarySearch(ids, v)
+      if (i >= 0) out(i) = dense.getOrElseUpdate(c, dense.size)
+    }
+    out
+  }
+
+  /** §4.3 for the vertices v ≡ `stripe` (mod `stripes`) that `labels`
+    * (dense, −1 for unclustered) leaves out: a hub if its neighbors lie
+    * in at least two clusters, otherwise an outlier.
+    */
+  def rolesStripe(g: SeqGraph, labels: Array[Int], stripe: Int, stripes: Int): Iterator[(Long, String)] =
+    Iterator.range(stripe, g.n, stripes).filter(labels(_) < 0).map { v =>
+      val seen = g.adj(v).iterator.map(labels).filter(_ >= 0).distinct.take(2).size
       g.ids(v) -> (if (seen >= 2) "hub" else "outlier")
     }
 

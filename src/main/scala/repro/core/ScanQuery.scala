@@ -48,17 +48,26 @@ object ScanQuery {
   /** Hubs and outliers (§4.3): unclustered vertices classified by how many
     * distinct clusters their (graph) neighbors belong to — ≥ 2 → hub,
     * otherwise outlier. Returns (v, role) with role ∈ {"hub", "outlier"}.
-    * The cluster labels are broadcast beside the prepared graph
-    * (`PreparedGraph`); one job of vertex stripes runs `rolesStripe`.
+    * The dense cluster labels (`labels`) are broadcast beside the
+    * prepared graph (`PreparedGraph`); one job of vertex stripes runs
+    * `rolesStripe`.
     */
   def hubsAndOutliers(canonical: DataFrame, clusters: DataFrame): DataFrame = {
     val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
-    val labels = clusters.select("v", "cluster").collect().iterator.map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val bl = spark.sparkContext.broadcast(labels)
+    val bl = spark.sparkContext.broadcast(labels(bg.value.ids, clusters))
     val p = math.min(spark.sparkContext.defaultParallelism, bg.value.n)
     val roles = inTasks(spark, p)(i => SeqScanIndex.rolesStripe(bg.value, bl.value, i, p).toArray).flatten
     bl.destroy()
     local(spark, "v LONG, role STRING", roles.map { case (v, r) => Row(v, r) })
+  }
+
+  /** `clusters` (v, cluster), collected, as dense labels over the
+    * ascending ids `ids` (`SeqScanIndex.labels`); a query's local result
+    * collects without a job.
+    */
+  private[repro] def labels(ids: Array[Long], clusters: DataFrame): Array[Int] = {
+    val rows = clusters.select("v", "cluster").collect()
+    SeqScanIndex.labels(ids, rows.iterator.map(r => r.getAs[Number](0).longValue -> r.getAs[Number](1).longValue))
   }
 
   /** f(0), ..., f(p − 1) in one job of p tasks; no job when p = 0. */

@@ -1,36 +1,29 @@
 package repro.quality
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import repro.core.ScanQuery
 
 /** Adjusted Rand index (§7.2, Hubert & Arabie [38]) between a proposed
   * clustering and a ground-truth clustering over the same vertex set.
   *
   * Vertices missing from either clustering are treated as singleton
-  * clusters (`Labels.withSingletons`), mirroring the modularity treatment
-  * of unclustered vertices.
+  * clusters, mirroring the modularity treatment of unclustered vertices:
+  * with dense labels (−1 for unclustered) a singleton adds C(1, 2) = 0 to
+  * every pair count, so it is counted only in n and, when the other side
+  * clusters it, in that cluster's size.
   */
 object Ari {
 
   def ari(proposed: DataFrame, truth: DataFrame, allVertices: DataFrame): Double = {
-    val a = Labels.withSingletons(allVertices, proposed).withColumnRenamed("cluster", "ca")
-    val b = Labels.withSingletons(allVertices, truth).withColumnRenamed("cluster", "cb")
+    val ids    = allVertices.select("v").collect().map(_.getAs[Number](0).longValue).distinct.sorted
+    val (a, b) = (ScanQuery.labels(ids, proposed), ScanQuery.labels(ids, truth))
 
-    val contingency = a
-      .join(b, Seq("v"))
-      .groupBy("ca", "cb")
-      .agg(count(lit(1)).as("nij"))
-      .cache()
-
-    def comb2(c: org.apache.spark.sql.Column) = c * (c - 1) / 2.0
-
-    val sumNij = getD(contingency.agg(sum(comb2(col("nij")))))
-    val sumAi  = getD(
-      contingency.groupBy("ca").agg(sum("nij").as("ai")).agg(sum(comb2(col("ai")))))
-    val sumBj = getD(
-      contingency.groupBy("cb").agg(sum("nij").as("bj")).agg(sum(comb2(col("bj")))))
-    val n = allVertices.count().toDouble
-    contingency.unpersist()
+    def pairs[K](keys: Iterable[K]): Double =
+      keys.groupMapReduce(identity)(_ => 1L)(_ + _).values.map(c => c * (c - 1) / 2.0).sum
+    val sumNij = pairs(ids.indices.filter(i => a(i) >= 0 && b(i) >= 0).map(i => (a(i), b(i))))
+    val sumAi  = pairs(a.filter(_ >= 0))
+    val sumBj  = pairs(b.filter(_ >= 0))
+    val n      = ids.length.toDouble
 
     val totalPairs = n * (n - 1) / 2.0
     if (totalPairs == 0) return 1.0
@@ -38,10 +31,5 @@ object Ari {
     val maxIndex = (sumAi + sumBj) / 2.0
     if (maxIndex == expected) 1.0 // both clusterings trivial and identical
     else (sumNij - expected) / (maxIndex - expected)
-  }
-
-  private def getD(df: DataFrame): Double = {
-    val r = df.collect()(0)
-    if (r.isNullAt(0)) 0.0 else r.getDouble(0)
   }
 }

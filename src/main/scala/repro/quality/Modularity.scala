@@ -1,8 +1,7 @@
 package repro.quality
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.graph.GraphOps
+import repro.core.{PreparedGraph, ScanQuery}
 
 /** Modularity (§7.2, Newman–Girvan [49]; weighted extension [48]).
   *
@@ -17,37 +16,29 @@ import repro.graph.GraphOps
   */
 object Modularity {
 
+  /** One O(m) pass over the prepared graph's CSR and the dense labels of
+    * `clusters`; on a prepared graph and a query's local result it runs
+    * no Spark job.
+    */
   def modularity(canonical: DataFrame, clusters: DataFrame): Double = {
-    val assign = Labels.withSingletons(GraphOps.vertices(canonical), clusters)
-
-    val wTotalRow = canonical.agg(sum("weight")).collect()(0)
-    if (wTotalRow.isNullAt(0)) return 0.0
-    val w = wTotalRow.getDouble(0)
+    val g     = PreparedGraph.of(canonical).value
+    val label = ScanQuery.labels(g.ids, clusters)
+    val k     = label.foldLeft(-1)(math.max) + 1
+    val (win, sc) = (new Array[Double](k), new Array[Double](k))
+    var (w, singletons) = (0.0, 0.0)
+    for (u <- 0 until g.n) {
+      val (nbrs, wts, c) = (g.adj(u), g.wts(u), label(u))
+      var s = 0.0
+      for (i <- nbrs.indices) {
+        s += wts(i)
+        if (nbrs(i) > u) {
+          w += wts(i)
+          if (c >= 0 && label(nbrs(i)) == c) win(c) += wts(i)
+        }
+      }
+      if (c >= 0) sc(c) += s else singletons += s * s
+    }
     if (w == 0.0) return 0.0
-
-    val intra = canonical
-      .join(assign.select(col("v").as("av"), col("cluster").as("cs")), col("src") === col("av"))
-      .join(assign.select(col("v").as("bv"), col("cluster").as("cd")), col("dst") === col("bv"))
-      .filter(col("cs") === col("cd"))
-      .groupBy(col("cs").as("cluster"))
-      .agg(sum("weight").as("win"))
-
-    val strength = GraphOps
-      .symmetrize(canonical)
-      .groupBy("v")
-      .agg(sum("weight").as("s"))
-    val clusterStrength = assign
-      .join(strength, Seq("v"), "left")
-      .groupBy("cluster")
-      .agg(sum(coalesce(col("s"), lit(0.0))).as("sc"))
-
-    val terms = clusterStrength
-      .join(intra, Seq("cluster"), "left")
-      .select(
-        (coalesce(col("win"), lit(0.0)) / w -
-          (col("sc") / (2 * w)) * (col("sc") / (2 * w))).as("q"))
-      .agg(sum("q"))
-      .collect()(0)
-    if (terms.isNullAt(0)) 0.0 else terms.getDouble(0)
+    (0 until k).map(c => win(c) / w - (sc(c) / (2 * w)) * (sc(c) / (2 * w))).sum - singletons / (4 * w * w)
   }
 }

@@ -26,27 +26,23 @@ object F10Ari {
     var seedCounter = 4000L
     val rows = Datasets.suite(scale).filter(g => graphNames.contains(g.name)).flatMap { bg =>
       val edges   = bg.load(spark)
-      val verts   = GraphOps.vertices(edges).cache()
+      val verts   = GraphOps.vertices(edges)
       val measure = Similarity.Cosine
 
-      val exactIdx = ScanIndex.build(edges, measure).cache().materialize()
+      val exactIdx = ScanIndex.build(edges, measure)
       val (_, muBest, epsBest) =
         F9Modularity.bestModularity(edges, exactIdx, mus, epsList)
-      val truth = ScanQuery.cluster(exactIdx, muBest, epsBest).cache()
-      truth.count()
+      val truth = ScanQuery.cluster(exactIdx, muBest, epsBest)
       exactIdx.unpersist()
 
       val out = ks.map { k =>
         seedCounter += 1
-        val (idx, tApprox) = Timing.time(
-          ApproxSimilarity.buildIndex(edges, measure, k, seedCounter).cache().materialize())
+        val (idx, tApprox) = Timing.time(ApproxSimilarity.buildIndex(edges, measure, k, seedCounter))
         val approx = ScanQuery.cluster(idx, muBest, epsBest)
         val a = Ari.ari(approx, truth, verts)
         idx.unpersist()
         Seq(bg.name, s"($muBest, $epsBest)", s"k=$k", secs(tApprox), f"$a%.4f")
       }
-      truth.unpersist()
-      verts.unpersist()
       edges.unpersist()
       out
     }

@@ -31,7 +31,7 @@ object F5Construction {
       val (_, tBasic) = Timing.medianTime(trials)(SeqScanIndex.buildBasic(g, Similarity.Cosine))
       val (_, tOpt)   = Timing.medianTime(trials)(SeqScanIndex.buildOpt(g, Similarity.Cosine))
       val (_, tSpark) = Timing.medianTime(trials) {
-        val idx = ScanIndex.build(edges, Similarity.Cosine).cache().materialize()
+        val idx = ScanIndex.build(edges, Similarity.Cosine)
         idx.unpersist()
         idx
       }

@@ -21,7 +21,7 @@ object F7MuSweep {
       graphNames: Option[Seq[String]] = None): TableResult = {
     val rows = Datasets.select(scale, graphNames).flatMap { bg =>
       val edges  = bg.load(spark)
-      val index  = ScanIndex.build(edges, Similarity.Cosine).cache().materialize()
+      val index  = ScanIndex.build(edges, Similarity.Cosine)
       val g      = PreparedGraph.of(edges).value
       val seqIdx = SeqScanIndex.buildOpt(g, Similarity.Cosine)
 

@@ -32,14 +32,14 @@ object F8ApproxConstruction {
 
       val out = measures.flatMap { case (mname, measure) =>
         val (_, tExact) = Timing.medianTime(trials) {
-          val idx = ScanIndex.build(edges, measure).cache().materialize()
+          val idx = ScanIndex.build(edges, measure)
           idx.unpersist()
           idx
         }
         ks.map { k =>
           val (_, tApprox) = Timing.medianTime(trials) {
             seedCounter += 1
-            val idx = ApproxSimilarity.buildIndex(edges, measure, k, seedCounter).cache().materialize()
+            val idx = ApproxSimilarity.buildIndex(edges, measure, k, seedCounter)
             idx.unpersist()
             idx
           }

@@ -1,7 +1,7 @@
 package repro.tables
 
 import org.apache.spark.sql.SparkSession
-import repro.graph.GraphOps
+import repro.core.PreparedGraph
 
 /** Table 2: summary of the experiment graphs (here: their synthetic
   * stand-ins; paper graph and paper sizes shown alongside for diffing).
@@ -20,14 +20,13 @@ object T2Datasets {
   def run(spark: SparkSession, scale: String): TableResult = {
     val rows = Datasets.suite(scale).map { bg =>
       val edges = bg.load(spark)
-      val n = GraphOps.numVertices(edges)
-      val m = GraphOps.numEdges(edges)
+      val g = PreparedGraph.of(edges).value
       val (pn, pm) = paperSizes(bg.paperName)
       edges.unpersist()
       Seq(
         bg.name,
-        n.toString,
-        m.toString,
+        g.n.toString,
+        g.numEdges.toString,
         if (bg.weighted) "weighted" else "unweighted",
         bg.paperName,
         pn.toString,

@@ -151,12 +151,15 @@ object TestUtil {
        |       CASE WHEN COALESCE(nc.k, 0) >= 2 THEN 'hub' ELSE 'outlier' END AS role
        |FROM un u LEFT JOIN nc ON nc.v = u.v""".stripMargin
 
-  /** Modularity (weighted, unclustered = singletons) as a single scalar. */
+  /** Modularity (weighted, unclustered = singletons) as a single scalar.
+    * Labels are strings, 'c' || cluster or 's' || v for a singleton, so a
+    * singleton never shares a cluster's label, whatever the ids' signs.
+    */
   val modularitySql: String =
     s"""WITH $symEdges,
        |c AS (SELECT CAST(v AS BIGINT) v, CAST(cluster AS BIGINT) cl FROM clusters),
        |vs AS (SELECT DISTINCT v FROM sym),
-       |asg AS (SELECT vs.v, COALESCE(c.cl, -vs.v - 1) AS cl
+       |asg AS (SELECT vs.v, COALESCE('c' || CAST(c.cl AS VARCHAR), 's' || CAST(vs.v AS VARCHAR)) AS cl
        |        FROM vs LEFT JOIN c ON c.v = vs.v),
        |w AS (SELECT SUM(w) AS tot FROM e),
        |intra AS (SELECT a1.cl, SUM(e.w) AS win

@@ -60,21 +60,48 @@ class QualitySpec extends SparkSpec {
       Modularity.modularity(g, partial) - Modularity.modularity(g, full)) < 1e-12)
   }
 
+  /** Modularity of `g` under `label` (None = unclustered) against the
+    * DuckDB oracle.
+    */
+  private def assertOracleModularity(g: DataFrame, label: Long => Option[Long]): Unit = {
+    val clusters = GraphOps.vertices(g).collect().map(_.getLong(0)).flatMap(v => label(v).map(v -> _)).toMap
+    val cdf = clustersDf(clusters)
+    Oracle.assertEquivalent(
+      Seq(Modularity.modularity(g, cdf)).toDF("q"),
+      TestUtil.modularitySql,
+      "edges" -> g,
+      "clusters" -> cdf)
+  }
+
   for (seed <- Seq(1L, 2L, 3L)) {
     test(s"modularity matches the DuckDB oracle on a random clustering (seed=$seed)") {
-      val g = GraphGen.erdosRenyi(spark, 80, 400, seed = seed)
-      val clusters = GraphOps.vertices(g)
-        .collect().map(_.getLong(0))
-        .map(v => v -> (v % 5)) // arbitrary 5-way clustering
-        .toMap
-      val cdf = clustersDf(clusters)
-      val q   = Modularity.modularity(g, cdf)
-      Oracle.assertEquivalent(
-        Seq(q).toDF("q"),
-        TestUtil.modularitySql,
-        "edges" -> g,
-        "clusters" -> cdf)
+      // arbitrary 5-way clustering of every vertex
+      assertOracleModularity(GraphGen.erdosRenyi(spark, 80, 400, seed = seed), v => Some(v % 5))
     }
+
+    test(s"modularity matches the DuckDB oracle with unclustered vertices (seed=$seed)") {
+      assertOracleModularity(GraphGen.erdosRenyi(spark, 80, 400, seed = seed), v => Option.when(v % 3 != 0)(v % 5))
+    }
+
+    test(s"modularity matches the DuckDB oracle on a graph with negative ids (seed=$seed)") {
+      // Ids -40..39; vertex -1 is unclustered beside cluster 0, which a
+      // singleton label of -v - 1 would merge it into.
+      val g = GraphGen.erdosRenyi(spark, 80, 400, seed = seed)
+        .select(($"src" - 40).as("src"), ($"dst" - 40).as("dst"), $"weight")
+      assertOracleModularity(g, v => Option.when(math.floorMod(v, 3L) != 2)(math.floorMod(v, 5L)))
+    }
+  }
+
+  test("on a prepared graph, modularity of an index query's clusters runs no Spark job") {
+    val g = GraphGen.rmat(spark, 9, 2000, seed = 65).cache()
+    val idx = ScanIndex.build(g, Similarity.Cosine)
+    val clusters = ScanQuery.cluster(idx, 3, 0.6)
+    var q = 0.0
+    val jobs = TestUtil.sparkJobs(spark) { q = Modularity.modularity(g, clusters) }
+    info(s"modularity $q, $jobs jobs")
+    assert(clusters.count() > 0)
+    assert(jobs == 0, s"$jobs Spark jobs")
+    idx.unpersist(); g.unpersist()
   }
 
   test("planted-partition ground truth has higher modularity than random labels") {
