@@ -1,6 +1,7 @@
 package repro.baseline
 
 import org.apache.spark.sql.DataFrame
+import scala.reflect.ClassTag
 
 /** Driver-side compact adjacency representation for the sequential
   * baselines (GS*-Index, original SCAN) and the Spark index build, which
@@ -50,6 +51,18 @@ final class SeqGraph(
     out
   }
 
+  /** §6.1's orientation: each edge directed toward its endpoint of higher
+    * (degree, id). `out(v)` holds v's out-neighbors, ascending as in `adj`,
+    * with their weights (`outW`) and edge ids (`outEid`) aligned. Built
+    * once, on first use, for every merge-kernel stripe and later build.
+    */
+  lazy val (out, outW, outEid) = {
+    def rank(v: Int): Long = (degree(v).toLong << 32) | v.toLong
+    val keep = Array.tabulate(n)(v => adj(v).indices.filter(k => rank(v) < rank(adj(v)(k))).toArray)
+    def pick[T: ClassTag](col: Array[Array[T]]) = Array.tabulate(n)(v => keep(v).map(col(v)(_)))
+    (pick(adj), pick(wts), pick(eids))
+  }
+
   /** Edge id of {u, v}, or -1 if it is not an edge. */
   def eidOf(u: Int, v: Int): Int = {
     val k = java.util.Arrays.binarySearch(adj(u), v)
@@ -64,16 +77,6 @@ final class SeqGraph(
 }
 
 object SeqGraph {
-
-  /** Positions of `sims` by descending similarity, ties by ascending dense
-    * id in the aligned `vs` (so by ascending original id): the order of NO
-    * and of each CO[μ].
-    */
-  def simOrder(sims: Array[Double], vs: Array[Int]): Array[Int] =
-    sims.indices.toArray.sortWith { (x, y) =>
-      val c = java.lang.Double.compare(sims(x), sims(y))
-      c > 0 || (c == 0 && vs(x) < vs(y))
-    }
 
   /** Collect a canonical (src, dst, weight) DataFrame to the driver. */
   def fromDataFrame(canonical: DataFrame): SeqGraph = {

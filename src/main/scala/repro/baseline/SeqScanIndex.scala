@@ -15,24 +15,45 @@ import scala.collection.mutable
   * Queries walk the sorted core order and neighbor-order prefixes and run
   * union-find — the GS*-Index query algorithm. The walk is a stripe kernel
   * (`clusterStripe`, `rolesStripe`): the sequential query runs one stripe,
-  * `repro.core.ScanQuery` runs p stripes in Spark tasks over this layout,
-  * broadcast, and both finish with `merge`, as does ppSCAN-like
+  * `repro.core.ScanQuery` runs p stripes in Spark tasks over the broadcast
+  * `IndexLayout` (this index's arrays without its graph), and both finish
+  * with `merge` over the driver's graph, as does ppSCAN-like
   * (`PpScan`) over its own ε-neighbor lists. Border vertices use the
   * deterministic most-similar-core rule (§7.3.4) so outputs match across
   * implementations exactly.
   */
-final class SeqScanIndex(
-    val g: SeqGraph,
-    // Neighbor order: for each v, neighbor dense-indices sorted by
-    // descending similarity (ties: ascending neighbor id); parallel sims.
+final class SeqScanIndex(val g: SeqGraph, layout: IndexLayout)
+    extends IndexLayout(layout.noNbr, layout.noSim, layout.coVert, layout.coThresh) {
+  import SeqScanIndex.merge
+
+  /** Clustering at (μ, ε): map original-vertex-id -> cluster label, where
+    * the label is the minimum original core id in the cluster's component.
+    */
+  def cluster(mu: Int, eps: Double): Map[Long, Long] =
+    merge(g, cores(mu, eps), Seq(clusterStripe(mu, eps, 0, 1))).toMap
+
+  /** Hubs and outliers (§4.3) given a clustering. */
+  def hubsAndOutliers(clusters: Map[Long, Long]): Map[Long, String] =
+    SeqScanIndex.rolesStripe(g, SeqScanIndex.labels(g.ids, clusters.iterator), 0, 1).toMap
+}
+
+/** The index's NO and CO arrays without the graph, over its dense ids: what
+  * the Spark build broadcasts (`repro.core.ScanIndex.layout`) and the query
+  * stripes read.
+  *
+  * - NO[v] = (`noNbr(v)`, `noSim(v)`): v's neighbors by descending
+  *   similarity, ties by ascending id (`SeqScanIndex.precedes`).
+  * - CO[μ] = (`coVert(μ)`, `coThresh(μ)`) for μ in 2..maxMu: the vertices
+  *   with deg + 1 ≥ μ by descending threshold, v's NO similarity at slot
+  *   μ−2, ties by ascending id; CO[0] and CO[1] are empty.
+  */
+class IndexLayout(
     val noNbr: Array[Array[Int]],
     val noSim: Array[Array[Double]],
-    // Core order: for each mu (index 2..maxMu), vertices sorted by
-    // descending core threshold (ties: ascending id); parallel thresholds.
     val coVert: Array[Array[Int]],
     val coThresh: Array[Array[Double]])
     extends Serializable {
-  import SeqScanIndex.{Part, merge, prefixEnd, walkEpsEdges}
+  import SeqScanIndex.{Part, prefixEnd, walkEpsEdges}
 
   val maxMu: Int = coVert.length - 1
 
@@ -52,13 +73,7 @@ final class SeqScanIndex(
     * closed neighbor order (NO slot μ−2), is ≥ ε: O(1), no core set.
     */
   private def isCore(v: Int, mu: Int, eps: Double): Boolean =
-    g.degree(v) + 1 >= mu && noSim(v)(mu - 2) >= eps
-
-  /** Clustering at (μ, ε): map original-vertex-id -> cluster label, where
-    * the label is the minimum original core id in the cluster's component.
-    */
-  def cluster(mu: Int, eps: Double): Map[Long, Long] =
-    merge(g, cores(mu, eps), Seq(clusterStripe(mu, eps, 0, 1))).toMap
+    noSim(v).length + 1 >= mu && noSim(v)(mu - 2) >= eps
 
   /** Algorithm 5 for the cores at positions ≡ `stripe` (mod `stripes`) of
     * the (μ, ε) prefix of CO[μ]: the ε-edge walk over each one's NO, with
@@ -69,10 +84,6 @@ final class SeqScanIndex(
       val v = coVert(mu)(j)
       (v, noNbr(v), noSim(v))
     }, isCore(_, mu, eps))
-
-  /** Hubs and outliers (§4.3) given a clustering. */
-  def hubsAndOutliers(clusters: Map[Long, Long]): Map[Long, String] =
-    SeqScanIndex.rolesStripe(g, SeqScanIndex.labels(g.ids, clusters.iterator), 0, 1).toMap
 }
 
 object SeqScanIndex {
@@ -175,7 +186,7 @@ object SeqScanIndex {
     * doubling search as in Algorithms 2/3 (retained for fidelity to the
     * paper's prefix-retrieval structure).
     */
-  private def prefixEnd(sorted: Array[Double], eps: Double): Int = {
+  private[baseline] def prefixEnd(sorted: Array[Double], eps: Double): Int = {
     val n = sorted.length
     if (n == 0 || sorted(0) < eps) return 0
     var hi = 1
@@ -247,34 +258,24 @@ object SeqScanIndex {
   }
 
   /** The §6.1 merge kernel, shared by `simsOpt` (one stripe) and the Spark
-    * build (one stripe per task): orient edges toward the higher-(degree,
-    * id) endpoint, merge sorted out-neighborhoods to enumerate each triangle
-    * once, and accumulate weight products into all three edges. Adds the
-    * triangles whose lowest-ranked vertex a has a ≡ stripe (mod stripes).
+    * build (one stripe per task): over the graph's orientation toward the
+    * higher-(degree, id) endpoint (`SeqGraph.out`, built once per graph),
+    * merge sorted out-neighborhoods to enumerate each triangle once, and
+    * accumulate weight products into all three edges. Adds the triangles
+    * whose lowest-ranked vertex a has a ≡ stripe (mod stripes).
     *
     * Accumulators are flat arrays indexed by the dense edge id
-    * (`SeqGraph.eids`, carried alongside the directed out-neighborhoods),
+    * (`SeqGraph.outEid`, aligned with the out-neighborhoods),
     * not a hash map — the cache-friendliness of this accumulation is
     * precisely what the paper's merge-based optimization buys over the
     * hash-intersection approach.
     */
   def mergeStripe(g: SeqGraph, measure: Similarity.Measure, tri: Array[Double], stripe: Int, stripes: Int): Unit = {
-    val unweighted = measure == Similarity.Jaccard
-    def rank(v: Int): Long = (g.degree(v).toLong << 32) | v.toLong
-
-    // Directed out-neighborhoods with aligned weights and edge ids
-    // (sorted by neighbor index, inherited from adj).
-    val out    = new Array[Array[Int]](g.n)
-    val outW   = new Array[Array[Double]](g.n)
-    val outEid = new Array[Array[Int]](g.n)
-    var v = 0
-    while (v < g.n) {
-      val keepIdx = g.adj(v).indices.filter(i => rank(v) < rank(g.adj(v)(i))).toArray
-      out(v) = keepIdx.map(g.adj(v))
-      outW(v) = keepIdx.map(i => if (unweighted) 1.0 else g.wts(v)(i))
-      outEid(v) = keepIdx.map(g.eids(v))
-      v += 1
-    }
+    // The graph's orientation (`SeqGraph.out`), its weights replaced by one
+    // array of ones for the unweighted measure.
+    val (out, outEid) = (g.out, g.outEid)
+    val ones = if (measure == Similarity.Jaccard) Array.fill(out.foldLeft(0)(_ max _.length))(1.0) else null
+    def outW(v: Int): Array[Double] = if (ones == null) g.outW(v) else ones
 
     // For each directed edge (a -> b), merge out(a) and out(b).
     var a = stripe
@@ -308,10 +309,13 @@ object SeqScanIndex {
     */
   def simsByEdge(g: SeqGraph, measure: Similarity.Measure, tri: Array[Double]): Array[Double] = {
     val unweighted = measure == Similarity.Jaccard
-    val norms = normSquares(g, unweighted)
-    g.edges.zipWithIndex.map { case ((u, v, w), e) =>
-      finish(g, measure, u, v, 2.0 * (if (unweighted) 1.0 else w) + tri(e), norms)
-    }.toArray
+    val (norms, sims) = (normSquares(g, unweighted), new Array[Double](tri.length))
+    for (u <- 0 until g.n) {
+      val (a, w, e) = (g.adj(u), g.wts(u), g.eids(u))
+      for (k <- a.indices) if (a(k) > u)
+        sims(e(k)) = finish(g, measure, u, a(k), 2.0 * (if (unweighted) 1.0 else w(k)) + tri(e(k)), norms)
+    }
+    sims
   }
 
   /** Exact similarity of the edge in u's adjacency slot k: Algorithm 1 for
@@ -362,40 +366,128 @@ object SeqScanIndex {
       case Similarity.Jaccard => dot / ((g.degree(u) + 1) + (g.degree(v) + 1) - dot)
     }
 
-  /** Assemble the index from similarities by edge id (`SeqGraph.eids`). */
-  def buildFromSims(g: SeqGraph, sims: Array[Double]): SeqScanIndex = {
-    val no = Array.tabulate(g.n)(neighborOrder(g, sims, _))
-    fromNeighborOrders(g, no.map(_._1), no.map(_._2))
-  }
-
-  /** NO[v] as (neighbors, similarities): v's list by descending similarity,
-    * ties by ascending neighbor id. The Spark build's tasks call it too.
+  /** Assemble the index from similarities by edge id (`SeqGraph.eids`):
+    * the one-stripe case of the Spark build's `orders` and `layout`.
     */
-  def neighborOrder(g: SeqGraph, sims: Array[Double], v: Int): (Array[Int], Array[Double]) = {
-    val vs    = g.eids(v).map(sims)
-    val order = SeqGraph.simOrder(vs, g.adj(v))
-    (order.map(g.adj(v)), order.map(vs))
-  }
+  def buildFromSims(g: SeqGraph, sims: Array[Double]): SeqScanIndex =
+    new SeqScanIndex(g, layout(g, Array(orders(g, sims, 0, 1))))
 
-  /** The index over given neighbor orders: each vertex drops its NO
-    * entries straight into CO[2..deg+1] — v's NO entry at rank μ (slot
-    * μ−2) is its CO[μ] threshold — and each CO[μ] is sorted with NO's
-    * comparator. O(m log m).
+  /** One vertex stripe's share of the index, as flat primitive arrays:
+    * NO[v] for its vertices v ≡ stripe (mod stripes), ascending, deg(v)
+    * entries each (`noNbr`, `noSim`), and its sorted run of CO[μ] at
+    * `coStart(μ)` until `coStart(μ + 1)` (`coVert`, `coThresh`), for μ in
+    * 2..maxDegree + 1.
     */
-  def fromNeighborOrders(g: SeqGraph, noNbr: Array[Array[Int]], noSim: Array[Array[Double]]): SeqScanIndex = {
-    // CO[mu] for mu in 2..maxMu; mu = 0, 1 stay empty.
+  final class StripeOrders(
+      val noNbr: Array[Int],
+      val noSim: Array[Double],
+      val coStart: Array[Int],
+      val coVert: Array[Int],
+      val coThresh: Array[Double])
+      extends Serializable
+
+  /** Sort NO[v] for the stripe's vertices and their CO runs: each vertex
+    * drops its NO entries straight into its runs of CO[2..deg+1] — v's NO
+    * entry at slot μ−2 is its CO[μ] threshold — and each run is sorted in
+    * NO's order. The Spark build runs one stripe per task.
+    */
+  def orders(g: SeqGraph, sims: Array[Double], stripe: Int, stripes: Int): StripeOrders = {
     val maxMu = g.maxDegree + 1
-    val size  = new Array[Int](maxMu + 1)
-    for (v <- 0 until g.n; mu <- 2 to g.degree(v) + 1) size(mu) += 1
-    val (coVert, coThresh, fill) = (size.map(new Array[Int](_)), size.map(new Array[Double](_)), new Array[Int](maxMu + 1))
-    for (v <- 0 until g.n; r <- noSim(v).indices) {
-      val mu = r + 2
-      coVert(mu)(fill(mu)) = v; coThresh(mu)(fill(mu)) = noSim(v)(r); fill(mu) += 1
+    // size(μ) = #{stripe vertices with deg + 1 ≥ μ}, the length of run μ.
+    val (size, coStart) = (new Array[Int](maxMu + 2), new Array[Int](maxMu + 2))
+    for (v <- stripe until g.n by stripes) size(g.degree(v) + 1) += 1
+    for (mu <- maxMu - 1 to 2 by -1) size(mu) += size(mu + 1)
+    for (mu <- 2 to maxMu) coStart(mu + 1) = coStart(mu) + size(mu)
+    val total = coStart(maxMu + 1)
+    val (noNbr, noSim, coVert, coThresh) = (new Array[Int](total), new Array[Double](total), new Array[Int](total), new Array[Double](total))
+    val fill = coStart.clone()
+    var off  = 0
+    for (v <- stripe until g.n by stripes) {
+      val (a, e) = (g.adj(v), g.eids(v))
+      System.arraycopy(a, 0, noNbr, off, a.length)
+      for (k <- a.indices) noSim(off + k) = sims(e(k))
+      sortBySim(noSim, noNbr, off, off + a.length)
+      for (k <- a.indices) {
+        val mu = k + 2
+        coVert(fill(mu)) = v; coThresh(fill(mu)) = noSim(off + k); fill(mu) += 1
+      }
+      off += a.length
     }
-    for (mu <- 2 to maxMu) {
-      val order = SeqGraph.simOrder(coThresh(mu), coVert(mu))
-      coVert(mu) = order.map(coVert(mu)); coThresh(mu) = order.map(coThresh(mu))
-    }
-    new SeqScanIndex(g, noNbr, noSim, coVert, coThresh)
+    for (mu <- 2 to maxMu) sortBySim(coThresh, coVert, coStart(mu), coStart(mu + 1))
+    new StripeOrders(noNbr, noSim, coStart, coVert, coThresh)
   }
+
+  /** The index over every stripe's `orders`, stripe i holding v ≡ i (mod
+    * p): NO[v] is copied out of its stripe and each CO[μ] merges the p
+    * sorted runs, O(p) per entry. O(p·m) in all.
+    */
+  def layout(g: SeqGraph, parts: Array[StripeOrders]): IndexLayout = {
+    val (p, maxMu) = (parts.length, g.maxDegree + 1)
+    val (noNbr, noSim, off) = (new Array[Array[Int]](g.n), new Array[Array[Double]](g.n), new Array[Int](p))
+    for (v <- 0 until g.n) {
+      val (i, d) = (v % p, g.degree(v))
+      noNbr(v) = java.util.Arrays.copyOfRange(parts(i).noNbr, off(i), off(i) + d)
+      noSim(v) = java.util.Arrays.copyOfRange(parts(i).noSim, off(i), off(i) + d)
+      off(i) += d
+    }
+    val (coVert, coThresh) = (Array.fill(maxMu + 1)(Array.emptyIntArray), Array.fill(maxMu + 1)(Array.emptyDoubleArray))
+    val head = new Array[Int](p)
+    for (mu <- 2 to maxMu) {
+      var size = 0
+      for (i <- 0 until p) { head(i) = parts(i).coStart(mu); size += parts(i).coStart(mu + 1) - head(i) }
+      val (cv, ct) = (new Array[Int](size), new Array[Double](size))
+      for (k <- 0 until size) {
+        // The run whose head comes first in NO's order.
+        var best = -1
+        for (i <- 0 until p) {
+          val s = parts(i); val h = head(i)
+          if (h < s.coStart(mu + 1) &&
+              (best < 0 || precedes(s.coThresh(h), s.coVert(h), parts(best).coThresh(head(best)), parts(best).coVert(head(best)))))
+            best = i
+        }
+        cv(k) = parts(best).coVert(head(best)); ct(k) = parts(best).coThresh(head(best)); head(best) += 1
+      }
+      coVert(mu) = cv; coThresh(mu) = ct
+    }
+    new IndexLayout(noNbr, noSim, coVert, coThresh)
+  }
+
+  /** (s, v) comes before (t, w) in the order of NO and of each CO[μ]:
+    * descending similarity under `java.lang.Double.compare` (so 0.0 before
+    * −0.0), ties by ascending dense id, so by ascending original id.
+    */
+  def precedes(s: Double, v: Int, t: Double, w: Int): Boolean = {
+    val c = java.lang.Double.compare(s, t)
+    c > 0 || (c == 0 && v < w)
+  }
+
+  /** Sort the aligned `sims` and `vs` in place over [from, until) by
+    * `precedes`: a merge sort on the primitive arrays, insertion sort on
+    * runs of at most 32.
+    */
+  def sortBySim(sims: Array[Double], vs: Array[Int], from: Int, until: Int): Unit =
+    if (until - from > 1) mergeSort(sims, vs, from, until, new Array[Double]((until - from + 1) / 2), new Array[Int]((until - from + 1) / 2))
+
+  private def mergeSort(s: Array[Double], v: Array[Int], lo: Int, hi: Int, ts: Array[Double], tv: Array[Int]): Unit =
+    if (hi - lo <= 32) {
+      for (i <- lo + 1 until hi) {
+        val x = s(i); val y = v(i)
+        var j = i - 1
+        while (j >= lo && precedes(x, y, s(j), v(j))) { s(j + 1) = s(j); v(j + 1) = v(j); j -= 1 }
+        s(j + 1) = x; v(j + 1) = y
+      }
+    } else {
+      val mid = (lo + hi) >>> 1
+      mergeSort(s, v, lo, mid, ts, tv)
+      mergeSort(s, v, mid, hi, ts, tv)
+      // Merge the left half, moved aside, with the right half in place.
+      val n = mid - lo
+      System.arraycopy(s, lo, ts, 0, n); System.arraycopy(v, lo, tv, 0, n)
+      var i = 0; var j = mid; var k = lo
+      while (i < n) {
+        if (j < hi && precedes(s(j), v(j), ts(i), tv(i))) { s(k) = s(j); v(k) = v(j); j += 1 }
+        else { s(k) = ts(i); v(k) = tv(i); i += 1 }
+        k += 1
+      }
+    }
 }

@@ -7,6 +7,7 @@ import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
 import org.apache.spark.sql.types.StructType
 import repro.approx.{MinHashOPH, SimHash}
 import repro.baseline.{SeqGraph, SeqScanIndex}
+import scala.collection.mutable
 import scala.reflect.ClassTag
 
 /** Per-edge similarities by `SeqGraph.eids`, broadcast beside their
@@ -63,7 +64,8 @@ object EdgeSims {
     *    sketches (each is smaller than its vertex's adjacency, as t ≥ k);
     * 2. give each edge with two sketched endpoints its estimate, and every
     *    other edge its exact value by the per-edge merge
-    *    (`SeqScanIndex.edgeSim`).
+    *    (`SeqScanIndex.edgeSim`); each stripe returns its edge ids and
+    *    similarities as two primitive arrays.
     */
   def approx(canonical: DataFrame, measure: Similarity.Measure, k: Int, seed: Long, t: Long): EdgeSims = {
     val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
@@ -77,15 +79,16 @@ object EdgeSims {
       if (g.degree(v) > t && g.adj(v).exists(g.degree(_) > t)) Iterator.single(v -> sketch(g, v)) else Iterator.empty
     }.collect().foreach { case (v, s) => sketches(v) = s }
     val (bsk, bn) = (sc.broadcast(sketches), sc.broadcast(SeqScanIndex.normSquares(g, measure == Similarity.Jaccard)))
-    val sims = new Array[Double](g.numEdges.toInt)
-    stripes(sc, bg) { (g, u) =>
-      val sk = bsk.value
-      upper(g, u).map { slot =>
+    val (sims, p) = (new Array[Double](g.numEdges.toInt), sc.defaultParallelism)
+    sc.parallelize(0 until p, p).map { i =>
+      val (g, sk, es, ss) = (bg.value, bsk.value, new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble)
+      for (u <- i until g.n by p; slot <- upper(g, u)) {
         val v = g.adj(u)(slot)
-        g.eids(u)(slot) ->
-          (if (sk(u) != null && sk(v) != null) estimate(sk(u), sk(v)) else SeqScanIndex.edgeSim(g, measure, bn.value, u, slot))
+        es += g.eids(u)(slot)
+        ss += (if (sk(u) != null && sk(v) != null) estimate(sk(u), sk(v)) else SeqScanIndex.edgeSim(g, measure, bn.value, u, slot))
       }
-    }.collect().foreach { case (e, s) => sims(e) = s }
+      (es.result(), ss.result())
+    }.collect().foreach { case (es, ss) => for (j <- es.indices) sims(es(j)) = ss(j) }
     new EdgeSims(spark, bg, sc.broadcast(sims))
   }
 

@@ -2,11 +2,11 @@ package repro.core
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import repro.baseline.SeqScanIndex
+import repro.baseline.{IndexLayout, SeqGraph, SeqScanIndex}
 
 /** The GS*-Index structure (§3.2 / §4.1, Algorithm 2): NO and CO as arrays
-  * (`SeqScanIndex`), built by the build and broadcast once as `layout`,
-  * which every index query reads.
+  * (`IndexLayout`), built by the build and broadcast once as `layout`,
+  * which every index query reads beside the prepared graph (`graph`).
   *
   * - NO[v]: v's neighbors by descending similarity, ties by ascending id.
   *   Rank 1 of the closed neighbor order is v itself with σ(v,v) = 1, so
@@ -21,10 +21,13 @@ import repro.baseline.SeqScanIndex
   * with rank 2..deg+1, written by vertex stripes, and `coreOrder` (mu,
   * coreRank, v, threshold) with coreRank from 1, written by μ stripes.
   */
-final class ScanIndex private (edgeSims: EdgeSims, val layout: Broadcast[SeqScanIndex], kept: Option[DataFrame]) {
+final class ScanIndex private (edgeSims: EdgeSims, val layout: Broadcast[IndexLayout], kept: Option[DataFrame]) {
 
   /** Kept here so a query builds no DataFrame to find its session. */
   val spark: SparkSession = edgeSims.spark
+
+  /** The prepared graph the index is over: its dense ids are the layout's. */
+  private[core] def graph: Broadcast[SeqGraph] = edgeSims.graph
 
   /** Largest μ for which any vertex can be a core (= max |N̄(v)|); 1 for an
     * index with no edges.
@@ -35,18 +38,18 @@ final class ScanIndex private (edgeSims: EdgeSims, val layout: Broadcast[SeqScan
   def similarities: DataFrame = kept.getOrElse(edgeSims.similarities)
 
   def neighborOrder: DataFrame = {
-    val bl = layout
-    EdgeSims.rows(spark, edgeSims.graph.value.n, "v LONG, rank INT, nbr LONG, sim DOUBLE") { v =>
-      val ix = bl.value
-      ix.noNbr(v).indices.iterator.map(i => Row(ix.g.ids(v), i + 2, ix.g.ids(ix.noNbr(v)(i)), ix.noSim(v)(i)))
+    val (bl, bg) = (layout, graph)
+    EdgeSims.rows(spark, bg.value.n, "v LONG, rank INT, nbr LONG, sim DOUBLE") { v =>
+      val (ix, g) = (bl.value, bg.value)
+      ix.noNbr(v).indices.iterator.map(i => Row(g.ids(v), i + 2, g.ids(ix.noNbr(v)(i)), ix.noSim(v)(i)))
     }
   }
 
   def coreOrder: DataFrame = {
-    val bl = layout
+    val (bl, bg) = (layout, graph)
     EdgeSims.rows(spark, maxMu + 1, "mu INT, coreRank INT, v LONG, threshold DOUBLE") { mu =>
-      val ix = bl.value
-      ix.coVert(mu).indices.iterator.map(j => Row(mu, j + 1, ix.g.ids(ix.coVert(mu)(j)), ix.coThresh(mu)(j)))
+      val (ix, g) = (bl.value, bg.value)
+      ix.coVert(mu).indices.iterator.map(j => Row(mu, j + 1, g.ids(ix.coVert(mu)(j)), ix.coThresh(mu)(j)))
     }
   }
 
@@ -83,16 +86,14 @@ object ScanIndex {
   def fromEdgeSims(sims: EdgeSims): ScanIndex = assemble(sims, None)
 
   /** One job of p vertex stripes, task i sorting NO[v] for v ≡ i (mod p)
-    * and returning the arrays; the driver assembles CO from them as the
-    * sequential build does, and broadcasts the index.
+    * and the stripe's sorted run of each CO[μ] (`SeqScanIndex.orders`); the
+    * driver places NO and merges the runs (`SeqScanIndex.layout`), as the
+    * sequential build does for one stripe, and broadcasts the arrays alone.
     */
   private def assemble(sims: EdgeSims, kept: Option[DataFrame]): ScanIndex = {
     val (sc, bg, bs) = (sims.spark.sparkContext, sims.graph, sims.byEdge)
-    val (g, p)       = (bg.value, sc.defaultParallelism)
-    val parts = sc.parallelize(0 until p, p).map { i =>
-      Iterator.range(i, bg.value.n, p).map(SeqScanIndex.neighborOrder(bg.value, bs.value, _)).toArray
-    }.collect()
-    val no = Array.tabulate(g.n)(v => parts(v % p)(v / p))
-    new ScanIndex(sims, sc.broadcast(SeqScanIndex.fromNeighborOrders(g, no.map(_._1), no.map(_._2))), kept)
+    val p = sc.defaultParallelism
+    val parts = sc.parallelize(0 until p, p).map(SeqScanIndex.orders(bg.value, bs.value, _, p)).collect()
+    new ScanIndex(sims, sc.broadcast(SeqScanIndex.layout(bg.value, parts)), kept)
   }
 }

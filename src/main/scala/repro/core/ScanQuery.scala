@@ -16,8 +16,9 @@ import scala.reflect.ClassTag
   * everywhere so outputs are equality-comparable across implementations).
   *
   * Index queries read the broadcast array layout (`ScanIndex.layout`) and
-  * run the sequential GS*-Index kernels (`SeqScanIndex.clusterStripe`,
-  * `rolesStripe`) in one Spark job of p stripes. Results are local
+  * run the sequential GS*-Index kernels (`IndexLayout.clusterStripe`,
+  * `SeqScanIndex.rolesStripe`) in one Spark job of p stripes; the driver
+  * maps dense ids back through the prepared graph. Results are local
   * DataFrames, so actions on them start no further job.
   */
 object ScanQuery {
@@ -27,8 +28,8 @@ object ScanQuery {
     */
   def cores(index: ScanIndex, mu: Int, eps: Double): DataFrame = {
     require(mu >= 2, s"SCAN requires mu >= 2, got $mu")
-    val ix = index.layout.value
-    local(index.spark, "v LONG", ix.cores(mu, eps).map(v => Row(ix.g.ids(v))))
+    val ids = index.graph.value.ids
+    local(index.spark, "v LONG", index.layout.value.cores(mu, eps).map(v => Row(ids(v))))
   }
 
   /** Cluster (Algorithm 5): full clustering for (μ, ε) as (v, cluster).
@@ -42,7 +43,7 @@ object ScanQuery {
     val cores = layout.value.cores(mu, eps)
     val p     = math.min(spark.sparkContext.defaultParallelism, cores.length)
     val parts = inTasks(spark, p)(i => layout.value.clusterStripe(mu, eps, i, p))
-    local(spark, "v LONG, cluster LONG", SeqScanIndex.merge(layout.value.g, cores, parts).map { case (v, c) => Row(v, c) })
+    local(spark, "v LONG, cluster LONG", SeqScanIndex.merge(index.graph.value, cores, parts).map { case (v, c) => Row(v, c) })
   }
 
   /** Hubs and outliers (§4.3): unclustered vertices classified by how many

@@ -1,10 +1,12 @@
 package repro.core
 
+import java.io.{ObjectOutputStream, OutputStream}
 import org.apache.spark.SparkException
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec, TestUtil}
+import repro.approx.ApproxSimilarity
 import repro.baseline.{SeqGraph, SeqScanIndex}
 import repro.graph.{GraphGen, GraphOps}
 
@@ -182,6 +184,34 @@ class ScanIndexSpec extends SparkSpec {
     val idx = ScanIndex.build(GraphGen.fromEdges(spark, Seq.empty), Similarity.Cosine)
     assert(idx.neighborOrder.count() == 0 && idx.coreOrder.count() == 0 && idx.similarities.count() == 0)
     assert(idx.maxMu == 1)
+  }
+
+  // SimHash at k = 8 estimates cos(π·h/8) for h in 0..8: stripes meet
+  // equal thresholds, so this pins the tie-break of the CO run merge.
+  test("an approximate SimHash index at k = 8 has the NO and CO of buildFromSims over its own estimates") {
+    val gw   = GraphGen.denseWeighted(spark, 80, 1500, seed = 68).cache()
+    val idx  = ApproxSimilarity.buildIndex(gw, Similarity.Cosine, 8, seed = 9)
+    val sg   = SeqGraph.fromDataFrame(gw)
+    val sims = new Array[Double](sg.numEdges.toInt)
+    idx.similarities.collect().foreach(r => sims(sg.eidOf(sg.idOf(r.getLong(0)), sg.idOf(r.getLong(1)))) = r.getDouble(2))
+    assert(sims.exists(_ < 0) && sims.distinct.length <= 9, sims.distinct.sorted.mkString(", "))
+    assertSameIndex(idx, SeqScanIndex.buildFromSims(sg, sims), 0.0)
+    idx.unpersist(); gw.unpersist()
+  }
+
+  test("the layout broadcast serializes no SeqGraph") {
+    def graphsIn(obj: AnyRef): Int = {
+      var seen = 0
+      val out = new ObjectOutputStream(OutputStream.nullOutputStream()) {
+        enableReplaceObject(true)
+        override def replaceObject(o: AnyRef): AnyRef = { if (o.isInstanceOf[SeqGraph]) seen += 1; o }
+      }
+      out.writeObject(obj); out.close()
+      seen
+    }
+    // The hook sees a graph where one is.
+    assert(graphsIn(SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(g), Similarity.Cosine)) == 1)
+    assert(graphsIn(index.layout.value) == 0)
   }
 
   test("fromSimilarities on a weighted graph equals buildOpt within 1e-9") {
