@@ -15,10 +15,11 @@ import scala.collection.mutable
   * Queries walk the sorted core order and neighbor-order prefixes and run
   * union-find — the GS*-Index query algorithm. The walk is a stripe kernel
   * (`clusterStripe`, `rolesStripe`): the sequential query runs one stripe,
-  * `repro.core.ScanQuery` runs p stripes in Spark tasks over the broadcast
-  * `IndexLayout` (this index's arrays without its graph), and both finish
-  * with `merge` over the driver's graph, as does ppSCAN-like
-  * (`PpScan`) over its own ε-neighbor lists. Border vertices use the
+  * `repro.core.ScanQuery` runs one stripe on the driver below its grain
+  * and p stripes in Spark tasks over the broadcast `IndexLayout` (this
+  * index's arrays without its graph) above it, and all finish with `merge`
+  * (`roles`) over the driver's graph, as does ppSCAN-like (`PpScan`) over
+  * its own ε-neighbor lists. Border vertices use the
   * deterministic most-similar-core rule (§7.3.4) so outputs match across
   * implementations exactly.
   */
@@ -33,8 +34,10 @@ final class SeqScanIndex(val g: SeqGraph, layout: IndexLayout)
     merge(g, cores(mu, eps), Seq(clusterStripe(mu, eps, 0, 1))).toMap
 
   /** Hubs and outliers (§4.3) given a clustering. */
-  def hubsAndOutliers(clusters: Map[Long, Long]): Map[Long, String] =
-    SeqScanIndex.rolesStripe(g, SeqScanIndex.labels(g.ids, clusters.iterator), 0, 1).toMap
+  def hubsAndOutliers(clusters: Map[Long, Long]): Map[Long, String] = {
+    val labels = SeqScanIndex.labels(g.ids, clusters.iterator)
+    SeqScanIndex.roles(g, labels, Seq(SeqScanIndex.rolesStripe(g, labels, 0, 1))).toMap
+  }
 }
 
 /** The index's NO and CO arrays without the graph, over its dense ids: what
@@ -172,15 +175,57 @@ object SeqScanIndex {
     out
   }
 
-  /** §4.3 for the vertices v ≡ `stripe` (mod `stripes`) that `labels`
-    * (dense, −1 for unclustered) leaves out: a hub if its neighbors lie
-    * in at least two clusters, otherwise an outlier.
+  /** One roles stripe's output: each unclustered vertex `vertices(j)`
+    * next to the stripe's clustered vertices, with the one cluster it sees
+    * there, `clusters(j)`, or `Hub` if it sees two or more.
     */
-  def rolesStripe(g: SeqGraph, labels: Array[Int], stripe: Int, stripes: Int): Iterator[(Long, String)] =
-    Iterator.range(stripe, g.n, stripes).filter(labels(_) < 0).map { v =>
-      val seen = g.adj(v).iterator.map(labels).filter(_ >= 0).distinct.take(2).size
-      g.ids(v) -> (if (seen >= 2) "hub" else "outlier")
+  final case class Seen(vertices: Array[Int], clusters: Array[Int])
+
+  /** The cluster mark of a vertex that sees two or more clusters. */
+  private val Hub = -2
+
+  /** A vertex that has seen `a` (−1: nothing yet) and now sees `b`. */
+  private def see(a: Int, b: Int): Int = if (a == -1 || a == b) b else Hub
+
+  /** §4.3 from the clustered side, for the vertices v ≡ `stripe` (mod
+    * `stripes`) that `labels` (dense, −1 for unclustered) clusters: only
+    * an unclustered neighbor of a clustered vertex can be a hub, so walk
+    * their adjacency and note the clusters each unclustered neighbor sees.
+    * O(the stripe's clustered volume), plus one pass over its labels.
+    */
+  def rolesStripe(g: SeqGraph, labels: Array[Int], stripe: Int, stripes: Int): Seen = {
+    val (seen, touched) = (Array.fill(g.n)(-1), Array.newBuilder[Int])
+    var v = stripe
+    while (v < g.n) {
+      val c = labels(v)
+      if (c >= 0) {
+        val a = g.adj(v)
+        var i = 0
+        while (i < a.length) {
+          val u = a(i)
+          if (labels(u) < 0) {
+            if (seen(u) == -1) touched += u
+            seen(u) = see(seen(u), c)
+          }
+          i += 1
+        }
+      }
+      v += stripes
     }
+    val us = touched.result()
+    Seen(us, us.map(seen))
+  }
+
+  /** Joins the roles stripes: an unclustered vertex is a hub if its
+    * neighbors lie in at least two clusters over all stripes, otherwise an
+    * outlier. Returns (original id, role) for every unclustered vertex,
+    * one pass over `labels`.
+    */
+  def roles(g: SeqGraph, labels: Array[Int], parts: Seq[Seen]): Array[(Long, String)] = {
+    val seen = Array.fill(g.n)(-1)
+    parts.foreach(s => s.vertices.indices.foreach(j => seen(s.vertices(j)) = see(seen(s.vertices(j)), s.clusters(j))))
+    labels.indices.iterator.filter(labels(_) < 0).map(v => g.ids(v) -> (if (seen(v) == Hub) "hub" else "outlier")).toArray
+  }
 
   /** Index of the first entry of `sorted` (descending) strictly below eps —
     * doubling search as in Algorithms 2/3 (retained for fidelity to the
@@ -243,21 +288,13 @@ object SeqScanIndex {
     sims
   }
 
-  /** §6.1 sims: the merge kernel over all vertices on one thread. */
-  def simsOpt(g: SeqGraph, measure: Similarity.Measure): mutable.LongMap[Double] = {
-    val byEdge = optByEdge(g, measure)
-    val sims   = new mutable.LongMap[Double](2 * byEdge.length + 1)
-    g.edges.zipWithIndex.foreach { case ((u, v, _), e) => sims(key(u, v)) = byEdge(e) }
-    sims
-  }
-
   private def optByEdge(g: SeqGraph, measure: Similarity.Measure): Array[Double] = {
     val tri = new Array[Double](g.numEdges.toInt)
     mergeStripe(g, measure, tri, 0, 1)
     simsByEdge(g, measure, tri)
   }
 
-  /** The §6.1 merge kernel, shared by `simsOpt` (one stripe) and the Spark
+  /** The §6.1 merge kernel, shared by `buildOpt` (one stripe) and the Spark
     * build (one stripe per task): over the graph's orientation toward the
     * higher-(degree, id) endpoint (`SeqGraph.out`, built once per graph),
     * merge sorted out-neighborhoods to enumerate each triangle once, and

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.StructType
 import repro.baseline.SeqScanIndex
-import scala.jdk.CollectionConverters._
 import scala.reflect.ClassTag
 
 /** Clustering queries over the SCAN index (§4.2, Algorithms 3–5) and
@@ -16,12 +15,25 @@ import scala.reflect.ClassTag
   * everywhere so outputs are equality-comparable across implementations).
   *
   * Index queries read the broadcast array layout (`ScanIndex.layout`) and
-  * run the sequential GS*-Index kernels (`IndexLayout.clusterStripe`,
-  * `SeqScanIndex.rolesStripe`) in one Spark job of p stripes; the driver
-  * maps dense ids back through the prepared graph. Results are local
-  * DataFrames, so actions on them start no further job.
+  * run the sequential GS*-Index stripe kernels (`IndexLayout.clusterStripe`,
+  * `SeqScanIndex.rolesStripe`) under granularity control, as GBBS's
+  * parallel loops do: a kernel whose work bound is below its grain runs as
+  * its single stripe on the driver — exactly the sequential query, no job —
+  * and above it as one Spark job of p stripes. The driver merges the
+  * stripes and maps dense ids back through the prepared graph. Results are
+  * local DataFrames, so actions on them start no further job, and a
+  * cluster query's result keeps its driver-side pairs, which `labels`
+  * reads without collecting its rows.
   */
 object ScanQuery {
+
+  /** Work bounds, in adjacency entries, below which a kernel runs inline
+    * on the driver: the cost of an empty 4-task job (33.7 ms) divided by
+    * the kernel's time per entry (90 ns for `clusterStripe`, 7.6 ns for
+    * `rolesStripe`), measured on a 4-core VM (DESIGN.md, "Index queries").
+    */
+  private val ClusterGrain = 375000L
+  private val RolesGrain   = 4400000L
 
   /** GetCores (Algorithm 3): vertices v with |N_ε(v)| ≥ μ, the prefix of
     * CO[μ] with threshold ≥ ε, read on the driver.
@@ -33,42 +45,95 @@ object ScanQuery {
   }
 
   /** Cluster (Algorithm 5): full clustering for (μ, ε) as (v, cluster).
-    * One job of p = min(defaultParallelism, cores) tasks, task i walking
-    * the cores at CO[μ] prefix positions ≡ i (mod p); the driver merges
-    * their spanning forests and border picks. No cores, no job.
+    * The work bound is the cores' summed NO length. Below the grain the
+    * driver walks all cores as one stripe; otherwise one job of
+    * p = min(defaultParallelism, cores) tasks, task i walking the cores at
+    * CO[μ] prefix positions ≡ i (mod p). The driver merges their spanning
+    * forests and border picks. No cores, no job.
     */
-  def cluster(index: ScanIndex, mu: Int, eps: Double): DataFrame = {
+  def cluster(index: ScanIndex, mu: Int, eps: Double): DataFrame = cluster(index, mu, eps, ClusterGrain)
+
+  /** `cluster` with the grain given, e.g. 0 to run every query in tasks. */
+  private[repro] def cluster(index: ScanIndex, mu: Int, eps: Double, grain: Long): DataFrame = {
     require(mu >= 2, s"SCAN requires mu >= 2, got $mu")
     val (spark, layout) = (index.spark, index.layout)
-    val cores = layout.value.cores(mu, eps)
+    val ix    = layout.value
+    val cores = ix.cores(mu, eps)
+    val work  = cores.iterator.map(ix.noNbr(_).length.toLong).sum
     val p     = math.min(spark.sparkContext.defaultParallelism, cores.length)
-    val parts = inTasks(spark, p)(i => layout.value.clusterStripe(mu, eps, i, p))
-    local(spark, "v LONG, cluster LONG", SeqScanIndex.merge(index.graph.value, cores, parts).map { case (v, c) => Row(v, c) })
+    val parts =
+      if (work < grain) Seq(ix.clusterStripe(mu, eps, 0, 1))
+      else inTasks(spark, p)(i => layout.value.clusterStripe(mu, eps, i, p))
+    val pairs = SeqScanIndex.merge(index.graph.value, cores, parts)
+    val df    = local(spark, "v LONG, cluster LONG", pairs.map { case (v, c) => Row(v, c) })
+    results.synchronized(results.put(df, pairs))
+    df
   }
 
   /** Hubs and outliers (§4.3): unclustered vertices classified by how many
     * distinct clusters their (graph) neighbors belong to — ≥ 2 → hub,
     * otherwise outlier. Returns (v, role) with role ∈ {"hub", "outlier"}.
-    * The dense cluster labels (`labels`) are broadcast beside the
-    * prepared graph (`PreparedGraph`); one job of vertex stripes runs
-    * `rolesStripe`.
+    * Only a neighbor of a clustered vertex can be a hub, so the work bound
+    * is the clustered vertices' volume (`SeqScanIndex.rolesStripe`): below
+    * the grain it is walked on the driver; otherwise the dense labels
+    * (`labels`) are broadcast beside the prepared graph (`PreparedGraph`)
+    * and one job of p vertex stripes walks it. An empty clustering walks
+    * nothing.
     */
-  def hubsAndOutliers(canonical: DataFrame, clusters: DataFrame): DataFrame = {
+  def hubsAndOutliers(canonical: DataFrame, clusters: DataFrame): DataFrame =
+    hubsAndOutliers(canonical, clusters, RolesGrain)
+
+  /** `hubsAndOutliers` with the grain given, e.g. 0 to run in tasks. */
+  private[repro] def hubsAndOutliers(canonical: DataFrame, clusters: DataFrame, grain: Long): DataFrame = {
     val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
-    val bl = spark.sparkContext.broadcast(labels(bg.value.ids, clusters))
-    val p = math.min(spark.sparkContext.defaultParallelism, bg.value.n)
-    val roles = inTasks(spark, p)(i => SeqScanIndex.rolesStripe(bg.value, bl.value, i, p).toArray).flatten
-    bl.destroy()
-    local(spark, "v LONG, role STRING", roles.map { case (v, r) => Row(v, r) })
+    val (g, label)  = (bg.value, labels(bg.value.ids, clusters))
+    var (clustered, work) = (0, 0L)
+    for (v <- 0 until g.n if label(v) >= 0) { clustered += 1; work += g.degree(v) }
+    val p = math.min(spark.sparkContext.defaultParallelism, clustered)
+    val parts =
+      if (work < grain) Seq(SeqScanIndex.rolesStripe(g, label, 0, 1))
+      else {
+        val bl = spark.sparkContext.broadcast(label)
+        try inTasks(spark, p)(i => SeqScanIndex.rolesStripe(bg.value, bl.value, i, p))
+        finally bl.destroy()
+      }
+    local(spark, "v LONG, role STRING", SeqScanIndex.roles(g, label, parts).map { case (v, r) => Row(v, r) })
   }
 
-  /** `clusters` (v, cluster), collected, as dense labels over the
-    * ascending ids `ids` (`SeqScanIndex.labels`); a query's local result
-    * collects without a job.
+  /** Each cluster query's result, keyed by its DataFrame: weak and by
+    * reference (`Dataset` does not override `equals`), like
+    * `PreparedGraph`, so an entry goes with its DataFrame.
+    */
+  private val results = new java.util.WeakHashMap[DataFrame, Array[(Long, Long)]]
+
+  /** Bytes a collected (v, cluster) row takes on the driver, as a
+    * `GenericRow` of two boxed longs, with the pair built from it.
+    */
+  private val BytesPerRow = 100L
+
+  /** `clusters` (v, cluster) as dense labels over the ascending ids `ids`
+    * (`SeqScanIndex.labels`). A cluster query's own result is read from the
+    * pairs it keeps; any other DataFrame is counted and, if its rows fit a
+    * quarter of the driver's max heap, collected.
     */
   private[repro] def labels(ids: Array[Long], clusters: DataFrame): Array[Int] = {
-    val rows = clusters.select("v", "cluster").collect()
-    SeqScanIndex.labels(ids, rows.iterator.map(r => r.getAs[Number](0).longValue -> r.getAs[Number](1).longValue))
+    val kept = results.synchronized(results.get(clusters))
+    val pairs =
+      if (kept != null) kept.iterator
+      else {
+        requireRowsFit(clusters.count(), Runtime.getRuntime.maxMemory)
+        clusters.select("v", "cluster").collect().iterator.map(r => r.getAs[Number](0).longValue -> r.getAs[Number](1).longValue)
+      }
+    SeqScanIndex.labels(ids, pairs)
+  }
+
+  /** `labels` collects a clustering of `rows` rows only if they take at
+    * most a quarter of the driver's max heap.
+    */
+  private[core] def requireRowsFit(rows: Long, maxHeap: Long): Unit = {
+    val bytes = rows * BytesPerRow
+    require(bytes <= maxHeap / 4,
+      s"labels: collecting $rows (v, cluster) rows × $BytesPerRow B = $bytes B would exceed a quarter of the driver's max heap ($maxHeap B); pass the DataFrame ScanQuery.cluster returned, whose labels are read without a collect")
   }
 
   /** f(0), ..., f(p − 1) in one job of p tasks; no job when p = 0. */
@@ -78,6 +143,6 @@ object ScanQuery {
   /** A DataFrame over driver-side rows (a local relation: collecting it
     * runs no job).
     */
-  private[repro] def local(spark: SparkSession, schema: String, rows: Seq[Row]): DataFrame =
-    spark.createDataFrame(rows.asJava, StructType.fromDDL(schema))
+  private[repro] def local(spark: SparkSession, schema: String, rows: Array[Row]): DataFrame =
+    spark.createDataFrame(java.util.Arrays.asList(rows: _*), StructType.fromDDL(schema))
 }

@@ -17,8 +17,8 @@ import repro.core.{PreparedGraph, ScanQuery}
 object Modularity {
 
   /** One O(m) pass over the prepared graph's CSR and the dense labels of
-    * `clusters`; on a prepared graph and a query's local result it runs
-    * no Spark job.
+    * `clusters` (`ScanQuery.labels`); on a prepared graph and a cluster
+    * query's own result it runs no Spark job and collects no rows.
     */
   def modularity(canonical: DataFrame, clusters: DataFrame): Double = {
     val g     = PreparedGraph.of(canonical).value

@@ -16,17 +16,24 @@ import TableResult.{secs, x}
   * plus the two headline speedup ratios the paper reports: seq-vs-GS*
   * (paper: 1.4–2.2×) and parallel-vs-GS* (paper: 50–151×, on 48c/96t).
   * All three read the same prepared graph, collected before any timing.
+  * One untimed Spark build and `buildOpt` on the first graph warm the JVM
+  * up before it, so the first graph's columns are not its cold start; each
+  * cell is the median of `trials`, five as in the paper.
   */
 object F5Construction {
 
   def run(
       spark: SparkSession,
       scale: String,
-      trials: Int = 2,
+      trials: Int = 5,
       graphNames: Option[Seq[String]] = None): TableResult = {
-    val rows = Datasets.select(scale, graphNames).map { bg =>
+    val rows = Datasets.select(scale, graphNames).zipWithIndex.map { case (bg, i) =>
       val edges = bg.load(spark)
       val g     = PreparedGraph.of(edges).value
+      if (i == 0) {
+        ScanIndex.build(edges, Similarity.Cosine).unpersist()
+        SeqScanIndex.buildOpt(g, Similarity.Cosine)
+      }
 
       val (_, tBasic) = Timing.medianTime(trials)(SeqScanIndex.buildBasic(g, Similarity.Cosine))
       val (_, tOpt)   = Timing.medianTime(trials)(SeqScanIndex.buildOpt(g, Similarity.Cosine))

@@ -2,7 +2,7 @@ package repro.baseline
 
 import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestUtil}
-import repro.core.{ScanIndex, ScanQuery, Similarity}
+import repro.core.{ScanIndex, Similarity}
 import repro.graph.GraphGen
 
 class BaselineSpec extends SparkSpec {
@@ -89,10 +89,10 @@ class BaselineSpec extends SparkSpec {
     val index = ScanIndex.build(g, Similarity.Cosine).cache()
     val sg    = SeqGraph.fromDataFrame(g)
     val sIdx  = SeqScanIndex.buildOpt(sg, Similarity.Cosine)
-    for ((mu, eps) <- Seq((2, 0.4), (3, 0.6), (4, 0.5), (6, 0.3))) {
-      val spark_ = TestUtil.clustersToMap(ScanQuery.cluster(index, mu, eps))
+    for ((path, grain) <- TestUtil.queryPaths; (mu, eps) <- Seq((2, 0.4), (3, 0.6), (4, 0.5), (6, 0.3))) {
+      val spark_ = TestUtil.clustersToMap(TestUtil.cluster(index, mu, eps, grain))
       val seq_   = sIdx.cluster(mu, eps)
-      assert(spark_ == seq_, s"(mu=$mu, eps=$eps)")
+      assert(spark_ == seq_, s"(mu=$mu, eps=$eps)$path")
     }
     index.unpersist()
   }
@@ -120,6 +120,31 @@ class BaselineSpec extends SparkSpec {
     assert(roles == Map(8L -> "hub", 9L -> "outlier"))
   }
 
+  test("roles from the clustered side equal the definition over every stripe count, isolated vertices included") {
+    // Two K4s, 20 between them, 21 behind 20, and the isolated 30 and 31,
+    // which no canonical edge list can hold.
+    val edges = (for (b <- Seq(0, 10); i <- 0 to 3; j <- i + 1 to 3) yield (b + i, b + j)) ++ Seq((3, 20), (13, 20), (20, 21))
+    val ids   = (edges.flatMap { case (a, b) => Seq(a, b) } ++ Seq(30, 31)).distinct.sorted.map(_.toLong).toArray
+    val adj   = ids.map(v => edges.collect { case (a, b) if a == v => b; case (a, b) if b == v => a }.map(x => ids.indexOf(x.toLong)).sorted.toArray)
+    val g     = new SeqGraph(ids.length, ids, adj, adj.map(_.map(_ => 1.0)))
+    // The definition: an unclustered vertex with neighbors in ≥ 2 clusters is a hub.
+    def definition(labels: Array[Int]): Map[Long, String] =
+      labels.indices.filter(labels(_) < 0).map { v =>
+        ids(v) -> (if (g.adj(v).map(labels).filter(_ >= 0).distinct.length >= 2) "hub" else "outlier")
+      }.toMap
+    val byId = (f: Long => Int) => ids.map(f)
+    val clusterings = Seq(
+      "empty" -> byId(_ => -1),
+      "every vertex" -> byId(v => (v / 10).toInt),
+      "two K4s" -> byId(v => if (v < 10) 0 else if (v < 20) 1 else -1),
+      "one K4" -> byId(v => if (v < 10) 0 else -1))
+    for ((name, labels) <- clusterings; p <- 1 to 4) {
+      val got = SeqScanIndex.roles(g, labels, (0 until p).map(SeqScanIndex.rolesStripe(g, labels, _, p))).toMap
+      assert(got == definition(labels), s"$name, $p stripes")
+    }
+    assert(definition(clusterings(2)._2) == Map(20L -> "hub", 21L -> "outlier", 30L -> "outlier", 31L -> "outlier"))
+  }
+
   // --------------------------------------------------------- ppSCAN-like --
 
   // ppSCAN-like shares the ε-edge walk and `merge` with the index query, so
@@ -128,10 +153,10 @@ class BaselineSpec extends SparkSpec {
     lazy val graph = g.cache()
     lazy val index = ScanIndex.build(graph, Similarity.Cosine).cache()
     lazy val sg    = SeqGraph.fromDataFrame(graph)
-    for ((mu, eps) <- params) {
-      test(s"ppSCAN-like equals the index query on $name at (mu=$mu, eps=$eps)") {
+    for ((path, grain) <- TestUtil.queryPaths; (mu, eps) <- params) {
+      test(s"ppSCAN-like equals the index query on $name at (mu=$mu, eps=$eps)$path") {
         val a = TestUtil.clustersToMap(PpScan.cluster(graph, Similarity.Cosine, mu, eps))
-        val b = TestUtil.clustersToMap(ScanQuery.cluster(index, mu, eps))
+        val b = TestUtil.clustersToMap(TestUtil.cluster(index, mu, eps, grain))
         assert(a == b)
         val scan =
           if (!weighted) SeqScan.cluster(sg, Similarity.Cosine, mu, eps)
@@ -183,10 +208,10 @@ class BaselineSpec extends SparkSpec {
     val g     = GraphGen.rmat(spark, 9, 1800, seed = 87).cache()
     val index = ScanIndex.build(g, Similarity.Jaccard).cache()
     val sg    = SeqGraph.fromDataFrame(g)
-    for ((mu, eps) <- Seq((2, 0.3), (3, 0.5))) {
+    for ((path, grain) <- TestUtil.queryPaths; (mu, eps) <- Seq((2, 0.3), (3, 0.5))) {
       val a = TestUtil.clustersToMap(PpScan.cluster(g, Similarity.Jaccard, mu, eps))
-      val b = TestUtil.clustersToMap(ScanQuery.cluster(index, mu, eps))
-      assert(a == b, s"(mu=$mu, eps=$eps)")
+      val b = TestUtil.clustersToMap(TestUtil.cluster(index, mu, eps, grain))
+      assert(a == b, s"(mu=$mu, eps=$eps)$path")
       assert(a == SeqScan.cluster(sg, Similarity.Jaccard, mu, eps), s"SCAN (mu=$mu, eps=$eps)")
     }
     index.unpersist(); g.unpersist()

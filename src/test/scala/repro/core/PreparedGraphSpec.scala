@@ -21,34 +21,37 @@ class PreparedGraphSpec extends SparkSpec {
     assert(ga.value.adj.map(_.toSeq).toSeq == gb.value.adj.map(_.toSeq).toSeq)
   }
 
-  test("roles on g1 after builds on g1 and then g2 equal the sequential roles of g1") {
-    val g1 = GraphGen.rmat(spark, 8, 900, seed = 91).cache()
-    val g2 = GraphGen.rmat(spark, 9, 2000, seed = 92).cache()
-    val idx1 = ScanIndex.build(g1, Similarity.Cosine).cache()
-    val idx2 = ScanIndex.build(g2, Similarity.Cosine).cache()
-    val seq1 = SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(g1), Similarity.Cosine)
-    val roles = points.map { case (mu, eps) =>
-      val clusters = ScanQuery.cluster(idx1, mu, eps)
-      val want     = seq1.cluster(mu, eps)
-      assert(TestUtil.clustersToMap(clusters) == want, s"clusters at ($mu, $eps)")
-      val got = TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(g1, clusters))
-      assert(got == seq1.hubsAndOutliers(want), s"roles at ($mu, $eps)")
-      got
+  // The two query tests run on both query paths (`TestUtil.queryPaths`).
+  for ((path, grain) <- TestUtil.queryPaths) {
+    test(s"roles on g1 after builds on g1 and then g2 equal the sequential roles of g1$path") {
+      val g1 = GraphGen.rmat(spark, 8, 900, seed = 91).cache()
+      val g2 = GraphGen.rmat(spark, 9, 2000, seed = 92).cache()
+      val idx1 = ScanIndex.build(g1, Similarity.Cosine).cache()
+      val idx2 = ScanIndex.build(g2, Similarity.Cosine).cache()
+      val seq1 = SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(g1), Similarity.Cosine)
+      val roles = points.map { case (mu, eps) =>
+        val clusters = TestUtil.cluster(idx1, mu, eps, grain)
+        val want     = seq1.cluster(mu, eps)
+        assert(TestUtil.clustersToMap(clusters) == want, s"clusters at ($mu, $eps)")
+        val got = TestUtil.rolesToMap(TestUtil.hubsAndOutliers(g1, clusters, grain))
+        assert(got == seq1.hubsAndOutliers(want), s"roles at ($mu, $eps)")
+        got
+      }
+      assert(roles.exists(_.values.exists(_ == "hub")))
+      idx1.unpersist(); idx2.unpersist(); g1.unpersist(); g2.unpersist()
     }
-    assert(roles.exists(_.values.exists(_ == "hub")))
-    idx1.unpersist(); idx2.unpersist(); g1.unpersist(); g2.unpersist()
-  }
 
-  test("hubsAndOutliers on another DataFrame of the index's graph gives the same roles") {
-    val built = GraphGen.rmat(spark, 8, 900, seed = 93).cache()
-    val other = GraphGen.rmat(spark, 8, 900, seed = 93)
-    val idx = ScanIndex.build(built, Similarity.Cosine).cache()
-    for ((mu, eps) <- points) {
-      val clusters = ScanQuery.cluster(idx, mu, eps)
-      val want = TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(built, clusters))
-      assert(TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(other, clusters)) == want, s"roles at ($mu, $eps)")
+    test(s"hubsAndOutliers on another DataFrame of the index's graph gives the same roles$path") {
+      val built = GraphGen.rmat(spark, 8, 900, seed = 93).cache()
+      val other = GraphGen.rmat(spark, 8, 900, seed = 93)
+      val idx = ScanIndex.build(built, Similarity.Cosine).cache()
+      for ((mu, eps) <- points) {
+        val clusters = TestUtil.cluster(idx, mu, eps, grain)
+        val want = TestUtil.rolesToMap(TestUtil.hubsAndOutliers(built, clusters, grain))
+        assert(TestUtil.rolesToMap(TestUtil.hubsAndOutliers(other, clusters, grain)) == want, s"roles at ($mu, $eps)")
+      }
+      assert(PreparedGraph.of(other).id != PreparedGraph.of(built).id)
+      idx.unpersist(); built.unpersist()
     }
-    assert(PreparedGraph.of(other).id != PreparedGraph.of(built).id)
-    idx.unpersist(); built.unpersist()
   }
 }

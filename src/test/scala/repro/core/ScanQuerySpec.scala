@@ -83,6 +83,10 @@ class ScanQuerySpec extends SparkSpec {
 
   // --------------------------------- equivalence vs sequential SCAN ------
 
+  // The differential tests below run on both query paths (`queryPaths`):
+  // the public calls, inline on the driver for these graphs, and grain 0,
+  // in Spark tasks.
+
   private def checkAgainstSeqScan(
       name: String,
       g: DataFrame,
@@ -90,9 +94,9 @@ class ScanQuerySpec extends SparkSpec {
       params: Seq[(Int, Double)]): Unit = {
     lazy val idx = ScanIndex.build(g, Similarity.Cosine).cache()
     lazy val sg  = SeqGraph.fromDataFrame(g)
-    for ((mu, eps) <- params) {
-      test(s"index query equals sequential SCAN on $name at (mu=$mu, eps=$eps)") {
-        val ours = TestUtil.clustersToMap(ScanQuery.cluster(idx, mu, eps))
+    for ((path, grain) <- TestUtil.queryPaths; (mu, eps) <- params) {
+      test(s"index query equals sequential SCAN on $name at (mu=$mu, eps=$eps)$path") {
+        val ours = TestUtil.clustersToMap(TestUtil.cluster(idx, mu, eps, grain))
         val ref =
           if (!weighted) SeqScan.cluster(sg, Similarity.Cosine, mu, eps)
           else {
@@ -128,13 +132,13 @@ class ScanQuerySpec extends SparkSpec {
 
   // ----------------------------------- hubs/outliers against the oracle --
 
-  for ((mu, eps) <- Seq((2, 0.5), (3, 0.6), (3, 0.8), (5, 0.5))) {
-    test(s"hubs/outliers match the DuckDB oracle on rmat at (mu=$mu, eps=$eps)") {
+  for ((path, grain) <- TestUtil.queryPaths; (mu, eps) <- Seq((2, 0.5), (3, 0.6), (3, 0.8), (5, 0.5))) {
+    test(s"hubs/outliers match the DuckDB oracle on rmat at (mu=$mu, eps=$eps)$path") {
       val g        = GraphGen.rmat(spark, 9, 1800, seed = 76)
       val idx      = ScanIndex.build(g, Similarity.Cosine)
-      val clusters = ScanQuery.cluster(idx, mu, eps).cache()
+      val clusters = TestUtil.cluster(idx, mu, eps, grain).cache()
       Oracle.assertEquivalent(
-        ScanQuery.hubsAndOutliers(g, clusters).select("v", "role"),
+        TestUtil.hubsAndOutliers(g, clusters, grain).select("v", "role"),
         TestUtil.hubsOutliersSql,
         "edges" -> g,
         "clusters" -> clusters)
@@ -172,15 +176,24 @@ class ScanQuerySpec extends SparkSpec {
   }
 
   /** Spark clusters and roles equal `seq.cluster`/`hubsAndOutliers` at
-    * every point.
+    * every point, on both query paths.
     */
   private def assertSameAsSequential(g: DataFrame, idx: ScanIndex, seq: SeqScanIndex, points: Seq[(Int, Double)]): Unit =
-    for ((mu, eps) <- points) {
-      val clusters = ScanQuery.cluster(idx, mu, eps)
+    for ((path, grain) <- TestUtil.queryPaths; (mu, eps) <- points) {
+      val clusters = TestUtil.cluster(idx, mu, eps, grain)
       val want     = seq.cluster(mu, eps)
-      assert(TestUtil.clustersToMap(clusters) == want, s"clusters at ($mu, $eps)")
-      assert(TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(g, clusters)) == seq.hubsAndOutliers(want), s"roles at ($mu, $eps)")
+      assert(TestUtil.clustersToMap(clusters) == want, s"clusters at ($mu, $eps)$path")
+      assert(TestUtil.rolesToMap(TestUtil.hubsAndOutliers(g, clusters, grain)) == seq.hubsAndOutliers(want), s"roles at ($mu, $eps)$path")
     }
+
+  test("roles of an empty clustering and of one that covers every vertex equal the sequential roles") {
+    val seq = SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(fig), Similarity.Cosine)
+    // (5, 0.85) has no core, so every vertex is an outlier; at (2, 0.44)
+    // one cluster covers all ten vertices, so there are no roles.
+    assert(seq.hubsAndOutliers(seq.cluster(5, 0.85)) == (0L to 9L).map(_ -> "outlier").toMap)
+    assert(seq.hubsAndOutliers(seq.cluster(2, 0.44)).isEmpty)
+    assertSameAsSequential(fig, figIdx, seq, Seq((5, 0.85), (2, 0.44)))
+  }
 
   test("Spark query equals the sequential query on RMAT-9 with negative and near-Long.MaxValue ids") {
     val remap = (c: String) =>
@@ -225,10 +238,37 @@ class ScanQuerySpec extends SparkSpec {
     idx.unpersist(); g.unpersist()
   }
 
+  test("labels of a DataFrame that no query returned are collected only if they fit the driver") {
+    ScanQuery.requireRowsFit(1000000L, 1L << 30)
+    val e = intercept[IllegalArgumentException](ScanQuery.requireRowsFit(100000000L, 1L << 30))
+    assert(Seq("100000000 (v, cluster) rows", "10000000000 B", "1073741824 B", "ScanQuery.cluster").forall(e.getMessage.contains), e.getMessage)
+  }
+
   // -------------------------------------------------- structural gates ---
 
   // Caps are the counts measured on the test session once the layout
-  // exists: the cluster query is one job of stripes, an empty one runs
+  // exists. Below the grain the query and its roles run on the driver; an
+  // empty point has no work on either path.
+  test("on RMAT-9 a query below the grain and its roles run 0 Spark jobs, and so does an empty point with its roles") {
+    val g = GraphGen.rmat(spark, 9, 2000, seed = 65).cache()
+    val idx = ScanIndex.build(g, Similarity.Cosine).cache().materialize()
+    val maxMu = idx.maxMu
+    var clusters: DataFrame = null
+    val query = TestUtil.sparkJobs(spark) { clusters = ScanQuery.cluster(idx, 3, 0.6); clusters.collect() }
+    val roles = TestUtil.sparkJobs(spark)(ScanQuery.hubsAndOutliers(g, clusters).collect())
+    val empty = TestUtil.sparkJobs(spark) {
+      for ((mu, eps) <- Seq((maxMu + 1, 0.1), (2, 1.5)))
+        ScanQuery.hubsAndOutliers(g, ScanQuery.cluster(idx, mu, eps)).collect()
+    }
+    info(s"query $query, roles $roles, empty points with roles $empty jobs")
+    assert(clusters.count() > 0)
+    assert(query == 0, s"$query Spark jobs")
+    assert(roles == 0, s"$roles Spark jobs")
+    assert(empty == 0, s"$empty Spark jobs")
+    idx.unpersist(); g.unpersist()
+  }
+
+  // With grain 0 the cluster query is one job of stripes, an empty one runs
   // none, and roles run one job of vertex stripes over the graph the build
   // prepared.
   test("on RMAT-9 a query runs at most 1 Spark job, an empty one 0 and its roles at most 1") {
@@ -236,11 +276,11 @@ class ScanQuerySpec extends SparkSpec {
     val idx = ScanIndex.build(g, Similarity.Cosine).cache().materialize()
     val maxMu = idx.maxMu
     var clusters: DataFrame = null
-    val query = TestUtil.sparkJobs(spark) { clusters = ScanQuery.cluster(idx, 3, 0.6); clusters.collect() }
+    val query = TestUtil.sparkJobs(spark) { clusters = ScanQuery.cluster(idx, 3, 0.6, 0L); clusters.collect() }
     val empty = TestUtil.sparkJobs(spark) {
-      ScanQuery.cluster(idx, maxMu + 1, 0.1).collect(); ScanQuery.cluster(idx, 2, 1.5).collect()
+      ScanQuery.cluster(idx, maxMu + 1, 0.1, 0L).collect(); ScanQuery.cluster(idx, 2, 1.5, 0L).collect()
     }
-    val roles = TestUtil.sparkJobs(spark)(ScanQuery.hubsAndOutliers(g, clusters).collect())
+    val roles = TestUtil.sparkJobs(spark)(ScanQuery.hubsAndOutliers(g, clusters, 0L).collect())
     info(s"query $query, empty $empty, roles $roles jobs")
     assert(clusters.count() > 0)
     assert(query <= 1, s"$query Spark jobs")

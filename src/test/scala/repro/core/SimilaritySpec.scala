@@ -152,13 +152,13 @@ class SimilaritySpec extends SparkSpec {
       val tol = if (weighted) 1e-9 else 0.0
       val sparkSims = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Cosine))
       val basic = SeqScanIndex.simsBasic(sg, Similarity.Cosine)
-      val opt   = SeqScanIndex.simsOpt(sg, Similarity.Cosine)
+      val opt   = SeqScanIndex.buildOpt(sg, Similarity.Cosine)
       val fn    = SeqScan.similarityFn(sg, Similarity.Cosine)
       sparkSims.foreach { case ((u, v), s) =>
         val (ui, vi) = (sg.idOf(u), sg.idOf(v))
         val k = (math.min(ui, vi).toLong << 32) | (math.max(ui, vi).toLong & 0xffffffffL)
         assert(math.abs(basic(k) - s) <= tol, s"basic mismatch on ($u,$v)")
-        assert(math.abs(opt(k) - s) <= tol, s"opt mismatch on ($u,$v)")
+        assert(math.abs(opt.noSim(ui)(opt.noNbr(ui).indexOf(vi)) - s) <= tol, s"opt mismatch on ($u,$v)")
         assert(math.abs(fn(math.min(ui, vi), math.max(ui, vi)) - s) <= tol, s"seqscan mismatch on ($u,$v)")
       }
     }

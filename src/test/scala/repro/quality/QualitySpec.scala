@@ -104,6 +104,23 @@ class QualitySpec extends SparkSpec {
     idx.unpersist(); g.unpersist()
   }
 
+  // An index query's own DataFrame is read from the pairs the query kept;
+  // any other DataFrame is collected.
+  test("a fresh DataFrame with an index query's rows gives the same roles, modularity and ARI as the query's own") {
+    val g = GraphGen.rmat(spark, 9, 2000, seed = 65).cache()
+    val idx = ScanIndex.build(g, Similarity.Cosine)
+    val (own, other) = (ScanQuery.cluster(idx, 3, 0.6), ScanQuery.cluster(idx, 2, 0.3))
+    val fresh = clustersDf(TestUtil.clustersToMap(own))
+    val vs = GraphOps.vertices(g)
+    val roles = TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(g, own))
+    assert(fresh.count() > 0 && roles.nonEmpty)
+    assert(TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(g, fresh)) == roles)
+    assert(math.abs(Modularity.modularity(g, fresh) - Modularity.modularity(g, own)) < 1e-12)
+    assert(math.abs(Ari.ari(fresh, other, vs) - Ari.ari(own, other, vs)) < 1e-12)
+    assert(Ari.ari(fresh, own, vs) == 1.0)
+    idx.unpersist(); g.unpersist()
+  }
+
   test("planted-partition ground truth has higher modularity than random labels") {
     val g = GraphGen.plantedPartition(spark, 120, 3, 0.4, 0.02, seed = 5)
     val truth  = clustersDf((0L until 120L).map(v => v -> (v / 40)).toMap)
