@@ -14,12 +14,13 @@ import scala.collection.mutable
   *
   * Queries walk the sorted core order and neighbor-order prefixes and run
   * union-find — the GS*-Index query algorithm. The walk is a stripe kernel
-  * (`clusterStripe`, `rolesStripe`): the sequential query runs one stripe,
+  * (`clusterStripe`): the sequential query runs one stripe,
   * `repro.core.ScanQuery` runs one stripe on the driver below its grain
   * and p stripes in Spark tasks over the broadcast `IndexLayout` (this
   * index's arrays without its graph) above it, and all finish with `merge`
-  * (`roles`) over the driver's graph, as does ppSCAN-like (`PpScan`) over
-  * its own ε-neighbor lists. Border vertices use the
+  * over the driver's graph, as does ppSCAN-like (`PpScan`) over its own
+  * ε-neighbor lists. Both queries find hubs and outliers with `roles` on
+  * the driver. Border vertices use the
   * deterministic most-similar-core rule (§7.3.4) so outputs match across
   * implementations exactly.
   */
@@ -36,7 +37,7 @@ final class SeqScanIndex(val g: SeqGraph, layout: IndexLayout)
   /** Hubs and outliers (§4.3) given a clustering. */
   def hubsAndOutliers(clusters: Map[Long, Long]): Map[Long, String] = {
     val labels = SeqScanIndex.labels(g.ids, clusters.iterator)
-    SeqScanIndex.roles(g, labels, Seq(SeqScanIndex.rolesStripe(g, labels, 0, 1))).toMap
+    SeqScanIndex.roles(g, labels).toMap
   }
 }
 
@@ -175,27 +176,18 @@ object SeqScanIndex {
     out
   }
 
-  /** One roles stripe's output: each unclustered vertex `vertices(j)`
-    * next to the stripe's clustered vertices, with the one cluster it sees
-    * there, `clusters(j)`, or `Hub` if it sees two or more.
+  /** Hubs and outliers (§4.3) from the clustered side, over `labels`
+    * (dense, −1 for unclustered): only an unclustered neighbor of a
+    * clustered vertex can be a hub, so walk the clustered vertices'
+    * adjacency and note for each unclustered neighbor the one cluster it
+    * sees, or −2 once it sees a second. Returns (original id, role) for
+    * every unclustered vertex: a hub if it saw two or more clusters,
+    * otherwise an outlier. O(vol(clustered vertices)) plus one pass over
+    * `labels`.
     */
-  final case class Seen(vertices: Array[Int], clusters: Array[Int])
-
-  /** The cluster mark of a vertex that sees two or more clusters. */
-  private val Hub = -2
-
-  /** A vertex that has seen `a` (−1: nothing yet) and now sees `b`. */
-  private def see(a: Int, b: Int): Int = if (a == -1 || a == b) b else Hub
-
-  /** §4.3 from the clustered side, for the vertices v ≡ `stripe` (mod
-    * `stripes`) that `labels` (dense, −1 for unclustered) clusters: only
-    * an unclustered neighbor of a clustered vertex can be a hub, so walk
-    * their adjacency and note the clusters each unclustered neighbor sees.
-    * O(the stripe's clustered volume), plus one pass over its labels.
-    */
-  def rolesStripe(g: SeqGraph, labels: Array[Int], stripe: Int, stripes: Int): Seen = {
-    val (seen, touched) = (Array.fill(g.n)(-1), Array.newBuilder[Int])
-    var v = stripe
+  def roles(g: SeqGraph, labels: Array[Int]): Array[(Long, String)] = {
+    val seen = Array.fill(g.n)(-1)
+    var v = 0
     while (v < g.n) {
       val c = labels(v)
       if (c >= 0) {
@@ -203,28 +195,13 @@ object SeqScanIndex {
         var i = 0
         while (i < a.length) {
           val u = a(i)
-          if (labels(u) < 0) {
-            if (seen(u) == -1) touched += u
-            seen(u) = see(seen(u), c)
-          }
+          if (labels(u) < 0) seen(u) = if (seen(u) == -1 || seen(u) == c) c else -2
           i += 1
         }
       }
-      v += stripes
+      v += 1
     }
-    val us = touched.result()
-    Seen(us, us.map(seen))
-  }
-
-  /** Joins the roles stripes: an unclustered vertex is a hub if its
-    * neighbors lie in at least two clusters over all stripes, otherwise an
-    * outlier. Returns (original id, role) for every unclustered vertex,
-    * one pass over `labels`.
-    */
-  def roles(g: SeqGraph, labels: Array[Int], parts: Seq[Seen]): Array[(Long, String)] = {
-    val seen = Array.fill(g.n)(-1)
-    parts.foreach(s => s.vertices.indices.foreach(j => seen(s.vertices(j)) = see(seen(s.vertices(j)), s.clusters(j))))
-    labels.indices.iterator.filter(labels(_) < 0).map(v => g.ids(v) -> (if (seen(v) == Hub) "hub" else "outlier")).toArray
+    labels.indices.iterator.filter(labels(_) < 0).map(v => g.ids(v) -> (if (seen(v) == -2) "hub" else "outlier")).toArray
   }
 
   /** Index of the first entry of `sorted` (descending) strictly below eps —

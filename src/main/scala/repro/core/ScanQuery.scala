@@ -14,26 +14,25 @@ import scala.reflect.ClassTag
   * toward the lower core id (the de-randomized rule of §7.3.4, used here
   * everywhere so outputs are equality-comparable across implementations).
   *
-  * Index queries read the broadcast array layout (`ScanIndex.layout`) and
-  * run the sequential GS*-Index stripe kernels (`IndexLayout.clusterStripe`,
-  * `SeqScanIndex.rolesStripe`) under granularity control, as GBBS's
-  * parallel loops do: a kernel whose work bound is below its grain runs as
-  * its single stripe on the driver — exactly the sequential query, no job —
-  * and above it as one Spark job of p stripes. The driver merges the
-  * stripes and maps dense ids back through the prepared graph. Results are
-  * local DataFrames, so actions on them start no further job, and a
-  * cluster query's result keeps its driver-side pairs, which `labels`
-  * reads without collecting its rows.
+  * A cluster query reads the broadcast array layout (`ScanIndex.layout`)
+  * and runs the sequential GS*-Index stripe kernel
+  * (`IndexLayout.clusterStripe`) under granularity control, as GBBS's
+  * parallel loops do: below its grain it runs as its single stripe on the
+  * driver — exactly the sequential query, no job — and above it as one
+  * Spark job of p stripes. The driver merges the stripes and maps dense
+  * ids back through the prepared graph. Roles always run on the driver
+  * (`SeqScanIndex.roles`). Results are local DataFrames, so actions on
+  * them start no further job, and a cluster query's result keeps its
+  * driver-side pairs, which `labels` reads without collecting its rows.
   */
 object ScanQuery {
 
-  /** Work bounds, in adjacency entries, below which a kernel runs inline
-    * on the driver: the cost of an empty 4-task job (33.7 ms) divided by
-    * the kernel's time per entry (90 ns for `clusterStripe`, 7.6 ns for
-    * `rolesStripe`), measured on a 4-core VM (DESIGN.md, "Index queries").
+  /** Work bound, in NO entries, below which a cluster query runs inline on
+    * the driver: the cost of an empty 4-task job (33.7 ms) divided by
+    * `clusterStripe`'s time per entry (90 ns), from a one-off probe on a
+    * 4-core VM (DESIGN.md, "Index queries").
     */
   private val ClusterGrain = 375000L
-  private val RolesGrain   = 4400000L
 
   /** GetCores (Algorithm 3): vertices v with |N_ε(v)| ≥ μ, the prefix of
     * CO[μ] with threshold ≥ ε, read on the driver.
@@ -73,31 +72,16 @@ object ScanQuery {
   /** Hubs and outliers (§4.3): unclustered vertices classified by how many
     * distinct clusters their (graph) neighbors belong to — ≥ 2 → hub,
     * otherwise outlier. Returns (v, role) with role ∈ {"hub", "outlier"}.
-    * Only a neighbor of a clustered vertex can be a hub, so the work bound
-    * is the clustered vertices' volume (`SeqScanIndex.rolesStripe`): below
-    * the grain it is walked on the driver; otherwise the dense labels
-    * (`labels`) are broadcast beside the prepared graph (`PreparedGraph`)
-    * and one job of p vertex stripes walks it. An empty clustering walks
-    * nothing.
+    * Only a neighbor of a clustered vertex can be a hub, so the driver
+    * walks the clustered vertices' adjacency in the prepared graph
+    * (`PreparedGraph`, `SeqScanIndex.roles`) over the dense labels
+    * (`labels`); an empty clustering walks nothing. No Spark job.
     */
-  def hubsAndOutliers(canonical: DataFrame, clusters: DataFrame): DataFrame =
-    hubsAndOutliers(canonical, clusters, RolesGrain)
-
-  /** `hubsAndOutliers` with the grain given, e.g. 0 to run in tasks. */
-  private[repro] def hubsAndOutliers(canonical: DataFrame, clusters: DataFrame, grain: Long): DataFrame = {
-    val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
-    val (g, label)  = (bg.value, labels(bg.value.ids, clusters))
-    var (clustered, work) = (0, 0L)
-    for (v <- 0 until g.n if label(v) >= 0) { clustered += 1; work += g.degree(v) }
-    val p = math.min(spark.sparkContext.defaultParallelism, clustered)
-    val parts =
-      if (work < grain) Seq(SeqScanIndex.rolesStripe(g, label, 0, 1))
-      else {
-        val bl = spark.sparkContext.broadcast(label)
-        try inTasks(spark, p)(i => SeqScanIndex.rolesStripe(bg.value, bl.value, i, p))
-        finally bl.destroy()
-      }
-    local(spark, "v LONG, role STRING", SeqScanIndex.roles(g, label, parts).map { case (v, r) => Row(v, r) })
+  def hubsAndOutliers(canonical: DataFrame, clusters: DataFrame): DataFrame = {
+    val g     = PreparedGraph.of(canonical).value
+    val label = labels(g.ids, clusters)
+    val roles = SeqScanIndex.roles(g, label)
+    local(canonical.sparkSession, "v LONG, role STRING", roles.map { case (v, r) => Row(v, r) })
   }
 
   /** Each cluster query's result, keyed by its DataFrame: weak and by
@@ -106,35 +90,39 @@ object ScanQuery {
     */
   private val results = new java.util.WeakHashMap[DataFrame, Array[(Long, Long)]]
 
-  /** Bytes a collected (v, cluster) row takes on the driver, as a
-    * `GenericRow` of two boxed longs, with the pair built from it.
+  /** Bytes a collected (v, cluster) row is estimated to take on the
+    * driver, as a `GenericRow` of two boxed longs with the pair built from
+    * it; not measured.
     */
   private val BytesPerRow = 100L
 
   /** `clusters` (v, cluster) as dense labels over the ascending ids `ids`
     * (`SeqScanIndex.labels`). A cluster query's own result is read from the
-    * pairs it keeps; any other DataFrame is counted and, if its rows fit a
-    * quarter of the driver's max heap, collected.
+    * pairs it keeps; any other DataFrame is collected in one pass, refused
+    * if it has more rows than fit a quarter of the driver's max heap.
     */
   private[repro] def labels(ids: Array[Long], clusters: DataFrame): Array[Int] = {
     val kept = results.synchronized(results.get(clusters))
     val pairs =
       if (kept != null) kept.iterator
       else {
-        requireRowsFit(clusters.count(), Runtime.getRuntime.maxMemory)
-        clusters.select("v", "cluster").collect().iterator.map(r => r.getAs[Number](0).longValue -> r.getAs[Number](1).longValue)
+        val maxRows = maxRowsFor(Runtime.getRuntime.maxMemory)
+        val rows    = clusters.select("v", "cluster").limit(maxRows + 1).collect()
+        requireRowsFit(rows.length, maxRows)
+        rows.iterator.map(r => r.getAs[Number](0).longValue -> r.getAs[Number](1).longValue)
       }
     SeqScanIndex.labels(ids, pairs)
   }
 
-  /** `labels` collects a clustering of `rows` rows only if they take at
-    * most a quarter of the driver's max heap.
+  /** The most (v, cluster) rows `labels` collects on a driver whose max
+    * heap is `maxHeap` bytes: those that take a quarter of it.
     */
-  private[core] def requireRowsFit(rows: Long, maxHeap: Long): Unit = {
-    val bytes = rows * BytesPerRow
-    require(bytes <= maxHeap / 4,
-      s"labels: collecting $rows (v, cluster) rows × $BytesPerRow B = $bytes B would exceed a quarter of the driver's max heap ($maxHeap B); pass the DataFrame ScanQuery.cluster returned, whose labels are read without a collect")
-  }
+  private[core] def maxRowsFor(maxHeap: Long): Int = math.min(maxHeap / 4 / BytesPerRow, Int.MaxValue - 1L).toInt
+
+  /** `labels` refuses a clustering of more than `maxRows` rows. */
+  private[core] def requireRowsFit(rows: Int, maxRows: Int): Unit =
+    require(rows <= maxRows,
+      s"labels: a DataFrame that no ScanQuery.cluster call returned has more than $maxRows (v, cluster) rows, the most that fit a quarter of the driver's max heap at an estimated $BytesPerRow B a row; pass the DataFrame ScanQuery.cluster returned, whose labels are read without a collect")
 
   /** f(0), ..., f(p − 1) in one job of p tasks; no job when p = 0. */
   private[repro] def inTasks[T: ClassTag](spark: SparkSession, p: Int)(f: Int => T): Seq[T] =

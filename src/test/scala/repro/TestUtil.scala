@@ -25,19 +25,15 @@ object TestUtil {
     finally sc.removeSparkListener(listener)
   }
 
-  /** The two ways an index query runs, as (test-name suffix, grain): the
-    * public calls, which run these small graphs' kernels on the driver, and
-    * grain 0, which runs every kernel with work in Spark tasks.
+  /** The two ways a cluster query runs, as (test-name suffix, grain): the
+    * public call, which runs these small graphs' queries on the driver, and
+    * grain 0, which runs every query with cores in Spark tasks.
     */
   val queryPaths: Seq[(String, Option[Long])] = Seq("" -> None, " in tasks" -> Some(0L))
 
   /** `ScanQuery.cluster`, with `grain` if one is given. */
   def cluster(index: ScanIndex, mu: Int, eps: Double, grain: Option[Long]): DataFrame =
     grain.fold(ScanQuery.cluster(index, mu, eps))(ScanQuery.cluster(index, mu, eps, _))
-
-  /** `ScanQuery.hubsAndOutliers`, with `grain` if one is given. */
-  def hubsAndOutliers(canonical: DataFrame, clusters: DataFrame, grain: Option[Long]): DataFrame =
-    grain.fold(ScanQuery.hubsAndOutliers(canonical, clusters))(ScanQuery.hubsAndOutliers(canonical, clusters, _))
 
   /** (src, dst, sim) DataFrame → map keyed by canonical (src, dst). */
   def simsToMap(df: DataFrame): Map[(Long, Long), Double] =

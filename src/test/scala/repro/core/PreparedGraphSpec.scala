@@ -33,7 +33,7 @@ class PreparedGraphSpec extends SparkSpec {
         val clusters = TestUtil.cluster(idx1, mu, eps, grain)
         val want     = seq1.cluster(mu, eps)
         assert(TestUtil.clustersToMap(clusters) == want, s"clusters at ($mu, $eps)")
-        val got = TestUtil.rolesToMap(TestUtil.hubsAndOutliers(g1, clusters, grain))
+        val got = TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(g1, clusters))
         assert(got == seq1.hubsAndOutliers(want), s"roles at ($mu, $eps)")
         got
       }
@@ -47,8 +47,8 @@ class PreparedGraphSpec extends SparkSpec {
       val idx = ScanIndex.build(built, Similarity.Cosine).cache()
       for ((mu, eps) <- points) {
         val clusters = TestUtil.cluster(idx, mu, eps, grain)
-        val want = TestUtil.rolesToMap(TestUtil.hubsAndOutliers(built, clusters, grain))
-        assert(TestUtil.rolesToMap(TestUtil.hubsAndOutliers(other, clusters, grain)) == want, s"roles at ($mu, $eps)")
+        val want = TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(built, clusters))
+        assert(TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(other, clusters)) == want, s"roles at ($mu, $eps)")
       }
       assert(PreparedGraph.of(other).id != PreparedGraph.of(built).id)
       idx.unpersist(); built.unpersist()

@@ -83,9 +83,9 @@ class ScanQuerySpec extends SparkSpec {
 
   // --------------------------------- equivalence vs sequential SCAN ------
 
-  // The differential tests below run on both query paths (`queryPaths`):
-  // the public calls, inline on the driver for these graphs, and grain 0,
-  // in Spark tasks.
+  // The differential tests below run on both cluster query paths
+  // (`queryPaths`): the public call, inline on the driver for these graphs,
+  // and grain 0, in Spark tasks. Roles always run on the driver.
 
   private def checkAgainstSeqScan(
       name: String,
@@ -138,7 +138,7 @@ class ScanQuerySpec extends SparkSpec {
       val idx      = ScanIndex.build(g, Similarity.Cosine)
       val clusters = TestUtil.cluster(idx, mu, eps, grain).cache()
       Oracle.assertEquivalent(
-        TestUtil.hubsAndOutliers(g, clusters, grain).select("v", "role"),
+        ScanQuery.hubsAndOutliers(g, clusters).select("v", "role"),
         TestUtil.hubsOutliersSql,
         "edges" -> g,
         "clusters" -> clusters)
@@ -183,7 +183,7 @@ class ScanQuerySpec extends SparkSpec {
       val clusters = TestUtil.cluster(idx, mu, eps, grain)
       val want     = seq.cluster(mu, eps)
       assert(TestUtil.clustersToMap(clusters) == want, s"clusters at ($mu, $eps)$path")
-      assert(TestUtil.rolesToMap(TestUtil.hubsAndOutliers(g, clusters, grain)) == seq.hubsAndOutliers(want), s"roles at ($mu, $eps)$path")
+      assert(TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(g, clusters)) == seq.hubsAndOutliers(want), s"roles at ($mu, $eps)$path")
     }
 
   test("roles of an empty clustering and of one that covers every vertex equal the sequential roles") {
@@ -239,9 +239,13 @@ class ScanQuerySpec extends SparkSpec {
   }
 
   test("labels of a DataFrame that no query returned are collected only if they fit the driver") {
-    ScanQuery.requireRowsFit(1000000L, 1L << 30)
-    val e = intercept[IllegalArgumentException](ScanQuery.requireRowsFit(100000000L, 1L << 30))
-    assert(Seq("100000000 (v, cluster) rows", "10000000000 B", "1073741824 B", "ScanQuery.cluster").forall(e.getMessage.contains), e.getMessage)
+    // A 1 GiB heap: a quarter of it at 100 B a row.
+    val maxRows = ScanQuery.maxRowsFor(1L << 30)
+    assert(maxRows == 2684354)
+    ScanQuery.requireRowsFit(maxRows, maxRows)
+    val e = intercept[IllegalArgumentException](ScanQuery.requireRowsFit(maxRows + 1, maxRows))
+    assert(Seq("more than 2684354 (v, cluster) rows", "100 B a row", "ScanQuery.cluster").forall(e.getMessage.contains), e.getMessage)
+    assert(ScanQuery.maxRowsFor(Long.MaxValue) == Int.MaxValue - 1)
   }
 
   // -------------------------------------------------- structural gates ---
@@ -268,9 +272,8 @@ class ScanQuerySpec extends SparkSpec {
     idx.unpersist(); g.unpersist()
   }
 
-  // With grain 0 the cluster query is one job of stripes, an empty one runs
-  // none, and roles run one job of vertex stripes over the graph the build
-  // prepared.
+  // With grain 0 the cluster query is one job of stripes and an empty one
+  // runs none; roles run on the driver, with no job.
   test("on RMAT-9 a query runs at most 1 Spark job, an empty one 0 and its roles at most 1") {
     val g = GraphGen.rmat(spark, 9, 2000, seed = 65).cache()
     val idx = ScanIndex.build(g, Similarity.Cosine).cache().materialize()
@@ -280,7 +283,7 @@ class ScanQuerySpec extends SparkSpec {
     val empty = TestUtil.sparkJobs(spark) {
       ScanQuery.cluster(idx, maxMu + 1, 0.1, 0L).collect(); ScanQuery.cluster(idx, 2, 1.5, 0L).collect()
     }
-    val roles = TestUtil.sparkJobs(spark)(ScanQuery.hubsAndOutliers(g, clusters, 0L).collect())
+    val roles = TestUtil.sparkJobs(spark)(ScanQuery.hubsAndOutliers(g, clusters).collect())
     info(s"query $query, empty $empty, roles $roles jobs")
     assert(clusters.count() > 0)
     assert(query <= 1, s"$query Spark jobs")
