@@ -1,7 +1,7 @@
 package repro.baseline
 
 import org.apache.spark.sql.{DataFrame, Row}
-import repro.core.{PreparedGraph, ScanQuery, Similarity}
+import repro.core.{PreparedGraph, ScanQuery, Similarity, Stripes}
 import scala.collection.mutable
 
 /** ppSCAN-like baseline (Che et al. [18]): a parallel, per-query,
@@ -36,7 +36,7 @@ object PpScan {
     val g       = bg.value
     val bounded = measure == Similarity.Jaccard || g.wts.forall(_.forall(_ == 1.0))
     val p       = math.min(spark.sparkContext.defaultParallelism, g.n)
-    val cores   = ScanQuery.inTasks(spark, p)(i => coreStripe(bg.value, measure, bounded, mu, eps, i, p)).flatten.toArray
+    val cores   = Stripes.tasks(spark.sparkContext, p)(coreStripe(bg.value, measure, bounded, mu, eps, _, _)).flatten.toArray
     val isCore  = new java.util.BitSet(g.n)
     cores.foreach(c => isCore.set(c._1))
     val part = SeqScanIndex.walkEpsEdges(eps, cores.iterator, isCore.get(_))

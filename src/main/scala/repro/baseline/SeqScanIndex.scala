@@ -16,11 +16,11 @@ import scala.collection.mutable
   * union-find — the GS*-Index query algorithm. The walk is a stripe kernel
   * (`clusterStripe`): the sequential query runs one stripe,
   * `repro.core.ScanQuery` runs one stripe on the driver below its grain
-  * and p stripes in Spark tasks over the broadcast `IndexLayout` (this
-  * index's arrays without its graph) above it, and all finish with `merge`
-  * over the driver's graph, as does ppSCAN-like (`PpScan`) over its own
-  * ε-neighbor lists. Both queries find hubs and outliers with `roles` on
-  * the driver. Border vertices use the
+  * and p stripes in Spark tasks over the `IndexLayout` (this index's
+  * arrays without its graph), broadcast on first need, above it, and all
+  * finish with `merge` over the driver's graph, as does ppSCAN-like
+  * (`PpScan`) over its own ε-neighbor lists. Both queries find hubs and
+  * outliers with `roles` on the driver. Border vertices use the
   * deterministic most-similar-core rule (§7.3.4) so outputs match across
   * implementations exactly.
   */
@@ -42,8 +42,8 @@ final class SeqScanIndex(val g: SeqGraph, layout: IndexLayout)
 }
 
 /** The index's NO and CO arrays without the graph, over its dense ids: what
-  * the Spark build broadcasts (`repro.core.ScanIndex.layout`) and the query
-  * stripes read.
+  * the Spark index keeps (`repro.core.ScanIndex.layout`) and the query
+  * stripes read, broadcast only when a task reads it.
   *
   * - NO[v] = (`noNbr(v)`, `noSim(v)`): v's neighbors by descending
   *   similarity, ties by ascending id (`SeqScanIndex.precedes`).
@@ -78,6 +78,12 @@ class IndexLayout(
     */
   private def isCore(v: Int, mu: Int, eps: Double): Boolean =
     noSim(v).length + 1 >= mu && noSim(v)(mu - 2) >= eps
+
+  /** The cluster kernel's work bound over `cores`: the length of each
+    * one's ε-prefix of NO, found by one doubling search per core.
+    */
+  def epsPrefixes(cores: Array[Int], eps: Double): Long =
+    cores.iterator.map(v => prefixEnd(noSim(v), eps).toLong).sum
 
   /** Algorithm 5 for the cores at positions ≡ `stripe` (mod `stripes`) of
     * the (μ, ε) prefix of CO[μ]: the ε-edge walk over each one's NO, with
@@ -316,6 +322,21 @@ object SeqScanIndex {
       }
       a += stripes
     }
+  }
+
+  /** `mergeStripe`'s work bound: for each oriented edge a → b, the merge
+    * length |out(a)| + |out(b)|. O(m) over the orientation.
+    */
+  def mergeWork(g: SeqGraph): Long = {
+    val out = g.out
+    var w = 0L; var a = 0
+    while (a < g.n) {
+      val oa = out(a)
+      var bi = 0
+      while (bi < oa.length) { w += oa.length + out(oa(bi)).length; bi += 1 }
+      a += 1
+    }
+    w
   }
 
   /** Similarities by edge id from the triangle sums of every stripe:

@@ -5,8 +5,10 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import repro.baseline.{IndexLayout, SeqGraph, SeqScanIndex}
 
 /** The GS*-Index structure (§3.2 / §4.1, Algorithm 2): NO and CO as arrays
-  * (`IndexLayout`), built by the build and broadcast once as `layout`,
-  * which every index query reads beside the prepared graph (`graph`).
+  * (`IndexLayout`), built by the build and kept on the driver as `layout`,
+  * which every index query reads beside the prepared graph (`graph`). The
+  * layout, like the similarities, is broadcast only when a task or a view
+  * first reads it (`Shipped`).
   *
   * - NO[v]: v's neighbors by descending similarity, ties by ascending id.
   *   Rank 1 of the closed neighbor order is v itself with σ(v,v) = 1, so
@@ -21,7 +23,11 @@ import repro.baseline.{IndexLayout, SeqGraph, SeqScanIndex}
   * with rank 2..deg+1, written by vertex stripes, and `coreOrder` (mu,
   * coreRank, v, threshold) with coreRank from 1, written by μ stripes.
   */
-final class ScanIndex private (edgeSims: EdgeSims, val layout: Broadcast[IndexLayout], kept: Option[DataFrame]) {
+final class ScanIndex private (
+    edgeSims: EdgeSims,
+    private[repro] val layout: Shipped[IndexLayout],
+    kept: Option[DataFrame],
+    orders: Stripes.Phase) {
 
   /** Kept here so a query builds no DataFrame to find its session. */
   val spark: SparkSession = edgeSims.spark
@@ -33,6 +39,11 @@ final class ScanIndex private (edgeSims: EdgeSims, val layout: Broadcast[IndexLa
     * index with no edges.
     */
   val maxMu: Int = layout.value.maxMu
+
+  /** How each stripe phase of the build ran: the similarities' phases,
+    * then "orders".
+    */
+  val phases: Seq[Stripes.Phase] = edgeSims.phases :+ orders
 
   /** (src, dst, sim): the DataFrame given to `fromSimilarities`, else a view. */
   def similarities: DataFrame = kept.getOrElse(edgeSims.similarities)
@@ -53,19 +64,21 @@ final class ScanIndex private (edgeSims: EdgeSims, val layout: Broadcast[IndexLa
     }
   }
 
-  /** A no-op: the build leaves the index in memory, as broadcast arrays. */
+  /** A no-op: the build leaves the index in memory, as driver arrays. */
   def cache(): ScanIndex = this
 
   /** A no-op: the build has built every array of the index. */
   def materialize(): ScanIndex = this
 
-  /** Destroy the index's broadcast similarities and layout and unpersist
-    * the DataFrame `fromSimilarities` kept; the prepared graph stays.
+  /** Release the index: drop its similarities and layout, destroying the
+    * broadcast of each that a task or a view read, and unpersist the
+    * DataFrame `fromSimilarities` kept; the prepared graph stays. A later
+    * query or read of a view is refused.
     */
   def unpersist(): Unit = {
     kept.foreach(_.unpersist())
-    edgeSims.byEdge.destroy()
-    layout.destroy()
+    edgeSims.byEdge.release()
+    layout.release()
   }
 }
 
@@ -85,15 +98,16 @@ object ScanIndex {
   /** The index over given similarities, e.g. `EdgeSims.approx`'s estimates. */
   def fromEdgeSims(sims: EdgeSims): ScanIndex = assemble(sims, None)
 
-  /** One job of p vertex stripes, task i sorting NO[v] for v ≡ i (mod p)
-    * and the stripe's sorted run of each CO[μ] (`SeqScanIndex.orders`); the
-    * driver places NO and merges the runs (`SeqScanIndex.layout`), as the
-    * sequential build does for one stripe, and broadcasts the arrays alone.
+  /** The stripe phase "orders" (`Stripes`), bounded by the 2m NO entries:
+    * stripe i sorts NO[v] for v ≡ i (mod p) and the stripe's sorted run of
+    * each CO[μ] (`SeqScanIndex.orders`); the driver places NO and merges
+    * the runs (`SeqScanIndex.layout`), as the sequential build does for its
+    * one stripe.
     */
   private def assemble(sims: EdgeSims, kept: Option[DataFrame]): ScanIndex = {
     val (sc, bg, bs) = (sims.spark.sparkContext, sims.graph, sims.byEdge)
-    val p = sc.defaultParallelism
-    val parts = sc.parallelize(0 until p, p).map(SeqScanIndex.orders(bg.value, bs.value, _, p)).collect()
-    new ScanIndex(sims, sc.broadcast(SeqScanIndex.layout(bg.value, parts)), kept)
+    val phase = Stripes.phase("orders", 2 * bg.value.numEdges, Stripes.OrdersGrain)
+    val parts = Stripes.run(sc, phase, sc.defaultParallelism)((i, p) => SeqScanIndex.orders(bg.value, bs.value, i, p))
+    new ScanIndex(sims, new Shipped(sc, "the index layout", SeqScanIndex.layout(bg.value, parts.toArray)), kept, phase)
   }
 }

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.StructType
 import repro.baseline.SeqScanIndex
-import scala.reflect.ClassTag
 
 /** Clustering queries over the SCAN index (§4.2, Algorithms 3–5) and
   * hub/outlier determination (§4.3).
@@ -14,25 +13,19 @@ import scala.reflect.ClassTag
   * toward the lower core id (the de-randomized rule of §7.3.4, used here
   * everywhere so outputs are equality-comparable across implementations).
   *
-  * A cluster query reads the broadcast array layout (`ScanIndex.layout`)
+  * A cluster query reads the index's array layout (`ScanIndex.layout`)
   * and runs the sequential GS*-Index stripe kernel
-  * (`IndexLayout.clusterStripe`) under granularity control, as GBBS's
-  * parallel loops do: below its grain it runs as its single stripe on the
-  * driver — exactly the sequential query, no job — and above it as one
-  * Spark job of p stripes. The driver merges the stripes and maps dense
-  * ids back through the prepared graph. Roles always run on the driver
-  * (`SeqScanIndex.roles`). Results are local DataFrames, so actions on
-  * them start no further job, and a cluster query's result keeps its
-  * driver-side pairs, which `labels` reads without collecting its rows.
+  * (`IndexLayout.clusterStripe`) as a stripe phase (`Stripes`): below its
+  * grain as its single stripe on the driver — exactly the sequential
+  * query, no job — and above it as one Spark job of p stripes, which
+  * broadcasts the layout the first time one runs. The driver merges the
+  * stripes and maps dense ids back through the prepared graph. Roles
+  * always run on the driver (`SeqScanIndex.roles`). Results are local
+  * DataFrames, so actions on them start no further job, and a cluster
+  * query's result keeps its driver-side pairs, which `labels` reads
+  * without collecting its rows, and its phase record (`phase`).
   */
 object ScanQuery {
-
-  /** Work bound, in NO entries, below which a cluster query runs inline on
-    * the driver: the cost of an empty 4-task job (33.7 ms) divided by
-    * `clusterStripe`'s time per entry (90 ns), from a one-off probe on a
-    * 4-core VM (DESIGN.md, "Index queries").
-    */
-  private val ClusterGrain = 375000L
 
   /** GetCores (Algorithm 3): vertices v with |N_ε(v)| ≥ μ, the prefix of
     * CO[μ] with threshold ≥ ε, read on the driver.
@@ -44,30 +37,32 @@ object ScanQuery {
   }
 
   /** Cluster (Algorithm 5): full clustering for (μ, ε) as (v, cluster).
-    * The work bound is the cores' summed NO length. Below the grain the
-    * driver walks all cores as one stripe; otherwise one job of
+    * The work bound is the length of the cores' ε-prefixes of NO
+    * (`IndexLayout.epsPrefixes`). Below the grain the driver walks all
+    * cores as one stripe; otherwise one job of
     * p = min(defaultParallelism, cores) tasks, task i walking the cores at
     * CO[μ] prefix positions ≡ i (mod p). The driver merges their spanning
     * forests and border picks. No cores, no job.
     */
-  def cluster(index: ScanIndex, mu: Int, eps: Double): DataFrame = cluster(index, mu, eps, ClusterGrain)
-
-  /** `cluster` with the grain given, e.g. 0 to run every query in tasks. */
-  private[repro] def cluster(index: ScanIndex, mu: Int, eps: Double, grain: Long): DataFrame = {
+  def cluster(index: ScanIndex, mu: Int, eps: Double): DataFrame = {
     require(mu >= 2, s"SCAN requires mu >= 2, got $mu")
     val (spark, layout) = (index.spark, index.layout)
     val ix    = layout.value
     val cores = ix.cores(mu, eps)
-    val work  = cores.iterator.map(ix.noNbr(_).length.toLong).sum
+    val phase = Stripes.phase("cluster", ix.epsPrefixes(cores, eps), Stripes.ClusterGrain)
     val p     = math.min(spark.sparkContext.defaultParallelism, cores.length)
-    val parts =
-      if (work < grain) Seq(ix.clusterStripe(mu, eps, 0, 1))
-      else inTasks(spark, p)(i => layout.value.clusterStripe(mu, eps, i, p))
+    val parts = Stripes.run(spark.sparkContext, phase, p)((i, p) => layout.value.clusterStripe(mu, eps, i, p))
     val pairs = SeqScanIndex.merge(index.graph.value, cores, parts)
     val df    = local(spark, "v LONG, cluster LONG", pairs.map { case (v, c) => Row(v, c) })
-    results.synchronized(results.put(df, pairs))
+    results.synchronized(results.put(df, Result(pairs, phase)))
     df
   }
+
+  /** How the cluster query that returned `clusters` ran; None for a
+    * DataFrame that no query returned.
+    */
+  def phase(clusters: DataFrame): Option[Stripes.Phase] =
+    Option(results.synchronized(results.get(clusters))).map(_.phase)
 
   /** Hubs and outliers (§4.3): unclustered vertices classified by how many
     * distinct clusters their (graph) neighbors belong to — ≥ 2 → hub,
@@ -84,11 +79,14 @@ object ScanQuery {
     local(canonical.sparkSession, "v LONG, role STRING", roles.map { case (v, r) => Row(v, r) })
   }
 
+  /** A cluster query's `merge` pairs and its phase record. */
+  private final case class Result(pairs: Array[(Long, Long)], phase: Stripes.Phase)
+
   /** Each cluster query's result, keyed by its DataFrame: weak and by
     * reference (`Dataset` does not override `equals`), like
     * `PreparedGraph`, so an entry goes with its DataFrame.
     */
-  private val results = new java.util.WeakHashMap[DataFrame, Array[(Long, Long)]]
+  private val results = new java.util.WeakHashMap[DataFrame, Result]
 
   /** Bytes a collected (v, cluster) row is estimated to take on the
     * driver, as a `GenericRow` of two boxed longs with the pair built from
@@ -104,7 +102,7 @@ object ScanQuery {
   private[repro] def labels(ids: Array[Long], clusters: DataFrame): Array[Int] = {
     val kept = results.synchronized(results.get(clusters))
     val pairs =
-      if (kept != null) kept.iterator
+      if (kept != null) kept.pairs.iterator
       else {
         val maxRows = maxRowsFor(Runtime.getRuntime.maxMemory)
         val rows    = clusters.select("v", "cluster").limit(maxRows + 1).collect()
@@ -123,10 +121,6 @@ object ScanQuery {
   private[core] def requireRowsFit(rows: Int, maxRows: Int): Unit =
     require(rows <= maxRows,
       s"labels: a DataFrame that no ScanQuery.cluster call returned has more than $maxRows (v, cluster) rows, the most that fit a quarter of the driver's max heap at an estimated $BytesPerRow B a row; pass the DataFrame ScanQuery.cluster returned, whose labels are read without a collect")
-
-  /** f(0), ..., f(p − 1) in one job of p tasks; no job when p = 0. */
-  private[repro] def inTasks[T: ClassTag](spark: SparkSession, p: Int)(f: Int => T): Seq[T] =
-    if (p == 0) Seq.empty else spark.sparkContext.parallelize(0 until p, p).map(f).collect().toSeq
 
   /** A DataFrame over driver-side rows (a local relation: collecting it
     * runs no job).

@@ -14,7 +14,9 @@ import TableResult.{secs, x}
   *                   triangle counting ("GBBSIndexSCAN, 1 thread")
   *  - ours (spark) → the parallel Spark dataflow build
   * plus the two headline speedup ratios the paper reports: seq-vs-GS*
-  * (paper: 1.4–2.2×) and parallel-vs-GS* (paper: 50–151×, on 48c/96t).
+  * (paper: 1.4–2.2×) and parallel-vs-GS* (paper: 50–151×, on 48c/96t),
+  * and how each stripe phase of the Spark build ran (`ScanIndex.phases`:
+  * inline on the driver below its grain, else in tasks).
   * All three read the same prepared graph, collected before any timing.
   * One untimed Spark build and `buildOpt` on the first graph warm the JVM
   * up before it, so the first graph's columns are not its cold start; each
@@ -37,7 +39,7 @@ object F5Construction {
 
       val (_, tBasic) = Timing.medianTime(trials)(SeqScanIndex.buildBasic(g, Similarity.Cosine))
       val (_, tOpt)   = Timing.medianTime(trials)(SeqScanIndex.buildOpt(g, Similarity.Cosine))
-      val (_, tSpark) = Timing.medianTime(trials) {
+      val (idx, tSpark) = Timing.medianTime(trials) {
         val idx = ScanIndex.build(edges, Similarity.Cosine)
         idx.unpersist()
         idx
@@ -49,11 +51,12 @@ object F5Construction {
         secs(tOpt),
         secs(tSpark),
         x(tBasic / tOpt),
-        x(tBasic / tSpark))
+        x(tBasic / tSpark),
+        idx.phases.mkString(", "))
     }
     TableResult(
       s"Figure 5 (scale=$scale): exact index construction time, cosine [s]",
-      Seq("graph", "GS*-Index(seq)", "ours(seq)", "ours(spark)", "seq speedup", "spark speedup"),
+      Seq("graph", "GS*-Index(seq)", "ours(seq)", "ours(spark)", "seq speedup", "spark speedup", "spark phases"),
       rows)
   }
 }

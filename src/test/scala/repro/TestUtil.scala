@@ -4,7 +4,7 @@ import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.repro.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{ScanIndex, ScanQuery}
+import repro.core.{ScanIndex, ScanQuery, Stripes}
 
 /** Shared helpers for the test suites: DataFrame → driver-side maps and
   * the DuckDB oracle SQL used to cross-check every relational quantity of
@@ -25,15 +25,22 @@ object TestUtil {
     finally sc.removeSparkListener(listener)
   }
 
-  /** The two ways a cluster query runs, as (test-name suffix, grain): the
-    * public call, which runs these small graphs' queries on the driver, and
-    * grain 0, which runs every query with cores in Spark tasks.
+  /** The two ways each stripe phase (`Stripes`) runs, as (test-name
+    * suffix, grain): the public call, which runs these small graphs'
+    * builds and queries on the driver, and grain 0, which runs every phase
+    * in Spark tasks (a query only if it has cores).
     */
-  val queryPaths: Seq[(String, Option[Long])] = Seq("" -> None, " in tasks" -> Some(0L))
+  val stripePaths: Seq[(String, Option[Long])] = Seq("" -> None, " in tasks" -> Some(0L))
 
   /** `ScanQuery.cluster`, with `grain` if one is given. */
   def cluster(index: ScanIndex, mu: Int, eps: Double, grain: Option[Long]): DataFrame =
-    grain.fold(ScanQuery.cluster(index, mu, eps))(ScanQuery.cluster(index, mu, eps, _))
+    onPath(grain)(ScanQuery.cluster(index, mu, eps))
+
+  /** `body` with every stripe phase held against `grain`, if one is given. */
+  def onPath[A](grain: Option[Long])(body: => A): A = grain.fold(body)(Stripes.withGrain(_)(body))
+
+  /** Ids of the broadcasts whose blocks the driver holds. */
+  def broadcastIds(spark: SparkSession): Set[Long] = ListenerBusAccess.broadcastIds(spark.sparkContext)
 
   /** (src, dst, sim) DataFrame → map keyed by canonical (src, dst). */
   def simsToMap(df: DataFrame): Map[(Long, Long), Double] =

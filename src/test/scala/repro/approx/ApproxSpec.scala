@@ -3,7 +3,7 @@ package repro.approx
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
 import repro.baseline.SeqGraph
-import repro.core.{ScanIndex, ScanQuery, Similarity}
+import repro.core.{ScanIndex, ScanQuery, Similarity, Stripes}
 import repro.graph.{GraphGen, GraphOps}
 
 class ApproxSpec extends SparkSpec {
@@ -181,15 +181,21 @@ class ApproxSpec extends SparkSpec {
     exact.unpersist(); approxIdx.unpersist()
   }
 
-  // The cap is the count this build measures on the test session: collect
-  // the graph, sketch, estimate, then the NO job.
+  // The cap is the count this build measures on the test session with
+  // every phase in tasks (grain 0): collect the graph, sketch, estimate,
+  // then the NO job. Below the grains, only the collect runs.
   test("an approximate SimHash build of a dense weighted graph runs at most 4 Spark jobs") {
     val g = GraphGen.denseWeighted(spark, 60, 1200, seed = 37).cache()
     g.count()
     var idx: ScanIndex = null
-    val jobs = TestUtil.sparkJobs(spark) { idx = ApproxSimilarity.buildIndex(g, Similarity.Cosine, 32, seed = 38).cache().materialize() }
-    info(s"$jobs jobs")
+    val jobs = TestUtil.sparkJobs(spark) {
+      idx = Stripes.withGrain(0L)(ApproxSimilarity.buildIndex(g, Similarity.Cosine, 32, seed = 38).cache().materialize())
+    }
+    idx.unpersist()
+    val inline = TestUtil.sparkJobs(spark) { idx = ApproxSimilarity.buildIndex(g, Similarity.Cosine, 32, seed = 38).cache().materialize() }
+    info(s"$jobs jobs in tasks, $inline below the grains; phases ${idx.phases.mkString(", ")}")
     assert(jobs <= 4, s"$jobs Spark jobs")
+    assert(idx.phases.forall(_.inline) && inline == 0, s"$inline Spark jobs")
     idx.unpersist(); g.unpersist()
   }
 

@@ -89,7 +89,7 @@ class BaselineSpec extends SparkSpec {
     val index = ScanIndex.build(g, Similarity.Cosine).cache()
     val sg    = SeqGraph.fromDataFrame(g)
     val sIdx  = SeqScanIndex.buildOpt(sg, Similarity.Cosine)
-    for ((path, grain) <- TestUtil.queryPaths; (mu, eps) <- Seq((2, 0.4), (3, 0.6), (4, 0.5), (6, 0.3))) {
+    for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- Seq((2, 0.4), (3, 0.6), (4, 0.5), (6, 0.3))) {
       val spark_ = TestUtil.clustersToMap(TestUtil.cluster(index, mu, eps, grain))
       val seq_   = sIdx.cluster(mu, eps)
       assert(spark_ == seq_, s"(mu=$mu, eps=$eps)$path")
@@ -153,7 +153,7 @@ class BaselineSpec extends SparkSpec {
     lazy val graph = g.cache()
     lazy val index = ScanIndex.build(graph, Similarity.Cosine).cache()
     lazy val sg    = SeqGraph.fromDataFrame(graph)
-    for ((path, grain) <- TestUtil.queryPaths; (mu, eps) <- params) {
+    for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- params) {
       test(s"ppSCAN-like equals the index query on $name at (mu=$mu, eps=$eps)$path") {
         val a = TestUtil.clustersToMap(PpScan.cluster(graph, Similarity.Cosine, mu, eps))
         val b = TestUtil.clustersToMap(TestUtil.cluster(index, mu, eps, grain))
@@ -208,7 +208,7 @@ class BaselineSpec extends SparkSpec {
     val g     = GraphGen.rmat(spark, 9, 1800, seed = 87).cache()
     val index = ScanIndex.build(g, Similarity.Jaccard).cache()
     val sg    = SeqGraph.fromDataFrame(g)
-    for ((path, grain) <- TestUtil.queryPaths; (mu, eps) <- Seq((2, 0.3), (3, 0.5))) {
+    for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- Seq((2, 0.3), (3, 0.5))) {
       val a = TestUtil.clustersToMap(PpScan.cluster(g, Similarity.Jaccard, mu, eps))
       val b = TestUtil.clustersToMap(TestUtil.cluster(index, mu, eps, grain))
       assert(a == b, s"(mu=$mu, eps=$eps)$path")

@@ -21,8 +21,8 @@ class PreparedGraphSpec extends SparkSpec {
     assert(ga.value.adj.map(_.toSeq).toSeq == gb.value.adj.map(_.toSeq).toSeq)
   }
 
-  // The two query tests run on both query paths (`TestUtil.queryPaths`).
-  for ((path, grain) <- TestUtil.queryPaths) {
+  // The two query tests run on both paths (`TestUtil.stripePaths`).
+  for ((path, grain) <- TestUtil.stripePaths) {
     test(s"roles on g1 after builds on g1 and then g2 equal the sequential roles of g1$path") {
       val g1 = GraphGen.rmat(spark, 8, 900, seed = 91).cache()
       val g2 = GraphGen.rmat(spark, 9, 2000, seed = 92).cache()

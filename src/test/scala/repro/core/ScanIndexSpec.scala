@@ -7,7 +7,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.approx.ApproxSimilarity
-import repro.baseline.{SeqGraph, SeqScanIndex}
+import repro.baseline.{IndexLayout, SeqGraph, SeqScanIndex}
 import repro.graph.{GraphGen, GraphOps}
 
 class ScanIndexSpec extends SparkSpec {
@@ -149,11 +149,29 @@ class ScanIndexSpec extends SparkSpec {
     assert(idx.maxMu == math.max(seq.maxMu, 1))
   }
 
-  private def assertBuildMatchesBuildOpt(graph: DataFrame): Unit =
-    assertSameIndex(
-      ScanIndex.build(graph, Similarity.Cosine),
-      SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(graph), Similarity.Cosine),
-      0.0)
+  /** On both build paths (`TestUtil.stripePaths`): the Spark index equals
+    * buildOpt's, similarities within `tasksTol` in tasks (weighted sums
+    * there add the stripes' triangle sums in another order) and bit for
+    * bit on the driver, and every phase ran on the path's side of its grain.
+    */
+  private def assertBuildMatchesBuildOpt(graph: DataFrame, measure: Similarity.Measure = Similarity.Cosine, tasksTol: Double = 0.0): Unit = {
+    val seq = SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(graph), measure)
+    for ((path, grain) <- TestUtil.stripePaths) {
+      val idx = TestUtil.onPath(grain)(ScanIndex.build(graph, measure))
+      assert(idx.phases.map(_.name) == Seq("triangles", "orders"))
+      assert(idx.phases.forall(_.inline == grain.isEmpty), s"path '$path': ${idx.phases}")
+      assertSameIndex(idx, seq, if (grain.isEmpty) 0.0 else tasksTol)
+      idx.unpersist()
+    }
+  }
+
+  /** Two layouts hold the same NO and CO, similarities bit for bit. */
+  private def assertSameLayout(a: IndexLayout, b: IndexLayout): Unit = {
+    def same(x: Array[Array[Double]], y: Array[Array[Double]]) =
+      x.length == y.length && x.indices.forall(i => java.util.Arrays.equals(x(i), y(i)))
+    assert(a.noNbr.map(_.toSeq).toSeq == b.noNbr.map(_.toSeq).toSeq && same(a.noSim, b.noSim))
+    assert(a.coVert.map(_.toSeq).toSeq == b.coVert.map(_.toSeq).toSeq && same(a.coThresh, b.coThresh))
+  }
 
   test("Spark index NO and CO equal buildOpt exactly on an unweighted RMAT graph") {
     assertBuildMatchesBuildOpt(g)
@@ -214,6 +232,40 @@ class ScanIndexSpec extends SparkSpec {
     assert(graphsIn(index.layout.value) == 0)
   }
 
+  test("Spark index NO and CO on a weighted graph equal buildOpt within 1e-9, and bit for bit on the driver") {
+    val gw = GraphGen.denseWeighted(spark, 60, 700, seed = 69).cache()
+    assertBuildMatchesBuildOpt(gw, tasksTol = 1e-9)
+    gw.unpersist()
+  }
+
+  test("Spark index NO and CO under Jaccard equal buildOpt exactly") {
+    assertBuildMatchesBuildOpt(g, Similarity.Jaccard)
+  }
+
+  for (measure <- Seq(Similarity.Cosine, Similarity.Jaccard)) {
+    test(s"an approximate $measure index is the same on the driver and in tasks") {
+      val gw = GraphGen.denseWeighted(spark, 80, 1500, seed = 70).cache()
+      val Seq(driver, tasks) = TestUtil.stripePaths.map { case (_, grain) =>
+        TestUtil.onPath(grain)(ApproxSimilarity.buildIndex(gw, measure, 8, seed = 71))
+      }
+      assert(driver.phases.map(_.name) == Seq("sketch", "estimate", "orders"))
+      assert(driver.phases.forall(_.inline) && tasks.phases.forall(!_.inline), s"${driver.phases} / ${tasks.phases}")
+      assert(driver.phases.map(_.work) == tasks.phases.map(_.work))
+      assertSameLayout(driver.layout.value, tasks.layout.value)
+      driver.unpersist(); tasks.unpersist(); gw.unpersist()
+    }
+  }
+
+  test("each build phase records its work bound") {
+    val sg  = SeqGraph.fromDataFrame(g)
+    val Seq(tri, ord) = index.phases
+    assert(tri == Stripes.Phase("triangles", SeqScanIndex.mergeWork(sg), Stripes.TriangleGrain))
+    assert(ord == Stripes.Phase("orders", 2 * sg.numEdges, Stripes.OrdersGrain))
+    // Σ over oriented edges a → b of |out(a)| + |out(b)|, counted edge by edge.
+    val oriented = for (a <- 0 until sg.n; b <- sg.out(a)) yield (sg.out(a).length + sg.out(b).length).toLong
+    assert(tri.work == oriented.sum && oriented.length == sg.numEdges)
+  }
+
   test("fromSimilarities on a weighted graph equals buildOpt within 1e-9") {
     val gw  = GraphGen.denseWeighted(spark, 60, 700, seed = 63).cache()
     val idx = ScanIndex.fromSimilarities(gw, Similarity.similarities(gw, Similarity.Cosine))
@@ -241,30 +293,84 @@ class ScanIndexSpec extends SparkSpec {
 
   // -------------------------------------------------- structural gate ---
 
-  // Caps are the counts this build measures: cold, it collects the graph,
-  // then runs the triangle job and the NO job; warm, the graph is already
-  // prepared. The first query then runs only its own job.
+  // Caps are the counts this build measures with grain 0: cold, it
+  // collects the graph, then runs the triangle job and the NO job; warm,
+  // the graph is already prepared. The first query then runs only its own
+  // job.
   test("a cold exact build of RMAT-9 runs at most 3 Spark jobs, a warm one 2, and its first query 1") {
     val graph = GraphGen.rmat(spark, 9, 2000, seed = 65).cache()
     graph.count()
     var idx: ScanIndex = null
+    Stripes.withGrain(0L) {
+      val cold = TestUtil.sparkJobs(spark) { idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize() }
+      idx.unpersist()
+      val warm  = TestUtil.sparkJobs(spark) { idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize() }
+      val query = TestUtil.sparkJobs(spark)(ScanQuery.cluster(idx, 3, 0.6).collect())
+      info(s"cold $cold, warm $warm, first query $query jobs")
+      assert(cold <= 3, s"$cold Spark jobs")
+      assert(warm <= 2, s"$warm Spark jobs")
+      assert(query <= 1, s"$query Spark jobs")
+    }
+    idx.unpersist(); graph.unpersist()
+  }
+
+  // Below the grains every phase runs on the driver: the cold build only
+  // collects the graph, and the warm one starts no job and, since no task
+  // reads the similarities or the layout, broadcasts nothing.
+  test("on RMAT-9 a cold exact build below the grain runs 1 Spark job, and a warm one 0 with no broadcast") {
+    val graph = GraphGen.rmat(spark, 9, 2000, seed = 72).cache()
+    graph.count()
+    var idx: ScanIndex = null
     val cold = TestUtil.sparkJobs(spark) { idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize() }
     idx.unpersist()
-    val warm  = TestUtil.sparkJobs(spark) { idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize() }
-    val query = TestUtil.sparkJobs(spark)(ScanQuery.cluster(idx, 3, 0.6).collect())
-    info(s"cold $cold, warm $warm, first query $query jobs")
-    assert(cold <= 3, s"$cold Spark jobs")
-    assert(warm <= 2, s"$warm Spark jobs")
-    assert(query <= 1, s"$query Spark jobs")
+    val before = TestUtil.broadcastIds(spark)
+    val warm   = TestUtil.sparkJobs(spark) { idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize() }
+    val made   = TestUtil.broadcastIds(spark) -- before
+    info(s"cold $cold, warm $warm jobs; phases ${idx.phases.mkString(", ")}")
+    assert(idx.phases.forall(_.inline), idx.phases)
+    assert(cold == 1, s"$cold Spark jobs")
+    assert(warm == 0, s"$warm Spark jobs")
+    assert(made.isEmpty, s"broadcasts $made")
     idx.unpersist(); graph.unpersist()
+  }
+
+  test("a query in tasks after a driver build broadcasts the layout once, and unpersist destroys it") {
+    val graph = GraphGen.rmat(spark, 8, 900, seed = 73).cache()
+    val idx   = ScanIndex.build(graph, Similarity.Cosine)
+    assert(idx.layout.broadcastId.isEmpty)
+    val first = TestUtil.cluster(idx, 2, 0.5, Some(0L))
+    assert(ScanQuery.phase(first).exists(!_.inline))
+    val id = idx.layout.broadcastId
+    assert(id.exists(TestUtil.broadcastIds(spark).contains), s"layout broadcast $id")
+    TestUtil.cluster(idx, 3, 0.5, Some(0L)).collect()
+    assert(idx.layout.broadcastId == id)
+    // A view of the similarities ships them; the layout keeps its broadcast.
+    assert(idx.similarities.count() == graph.count() && idx.layout.broadcastId == id)
+    idx.unpersist()
+    val deadline = System.nanoTime() + 10000000000L
+    while (TestUtil.broadcastIds(spark).contains(id.get) && System.nanoTime() < deadline) Thread.sleep(20)
+    assert(!TestUtil.broadcastIds(spark).contains(id.get), s"broadcast ${id.get} survives unpersist")
+    graph.unpersist()
   }
 
   test("unpersist destroys the index's broadcasts but not the prepared graph") {
     val graph = GraphGen.rmat(spark, 8, 900, seed = 67).cache()
     val idx = ScanIndex.build(graph, Similarity.Cosine)
     idx.unpersist()
-    intercept[SparkException](idx.layout.value)
-    intercept[SparkException](idx.similarities.collect())
+    // A released index refuses to be read, on the driver, in tasks or
+    // through a view, and broadcasts nothing again. A view is refused when
+    // Spark serializes its task, which reports the refusal as the cause.
+    def messages(e: Throwable): String = Iterator.iterate(e)(_.getCause).takeWhile(_ != null).map(_.getMessage).mkString(" / ")
+    val before = TestUtil.broadcastIds(spark)
+    val refused = Seq(
+      intercept[IllegalStateException](idx.layout.value),
+      intercept[IllegalStateException](ScanQuery.cluster(idx, 3, 0.5)),
+      intercept[IllegalStateException](TestUtil.cluster(idx, 3, 0.5, Some(0L))),
+      intercept[SparkException](idx.similarities.collect()),
+      intercept[SparkException](idx.neighborOrder.collect())).map(messages)
+    refused.foreach(m => assert(m.contains("released by unpersist"), m))
+    assert(refused(3).contains("the similarities: released") && refused(4).contains("the index layout: released"), refused)
+    assert((TestUtil.broadcastIds(spark) -- before).isEmpty)
     var again: ScanIndex = null
     val jobs = TestUtil.sparkJobs(spark) { again = ScanIndex.build(graph, Similarity.Cosine) }
     assert(jobs <= 2, s"$jobs Spark jobs: the second build collected the graph again")

@@ -84,7 +84,7 @@ class ScanQuerySpec extends SparkSpec {
   // --------------------------------- equivalence vs sequential SCAN ------
 
   // The differential tests below run on both cluster query paths
-  // (`queryPaths`): the public call, inline on the driver for these graphs,
+  // (`stripePaths`): the public call, inline on the driver for these graphs,
   // and grain 0, in Spark tasks. Roles always run on the driver.
 
   private def checkAgainstSeqScan(
@@ -94,7 +94,7 @@ class ScanQuerySpec extends SparkSpec {
       params: Seq[(Int, Double)]): Unit = {
     lazy val idx = ScanIndex.build(g, Similarity.Cosine).cache()
     lazy val sg  = SeqGraph.fromDataFrame(g)
-    for ((path, grain) <- TestUtil.queryPaths; (mu, eps) <- params) {
+    for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- params) {
       test(s"index query equals sequential SCAN on $name at (mu=$mu, eps=$eps)$path") {
         val ours = TestUtil.clustersToMap(TestUtil.cluster(idx, mu, eps, grain))
         val ref =
@@ -132,7 +132,7 @@ class ScanQuerySpec extends SparkSpec {
 
   // ----------------------------------- hubs/outliers against the oracle --
 
-  for ((path, grain) <- TestUtil.queryPaths; (mu, eps) <- Seq((2, 0.5), (3, 0.6), (3, 0.8), (5, 0.5))) {
+  for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- Seq((2, 0.5), (3, 0.6), (3, 0.8), (5, 0.5))) {
     test(s"hubs/outliers match the DuckDB oracle on rmat at (mu=$mu, eps=$eps)$path") {
       val g        = GraphGen.rmat(spark, 9, 1800, seed = 76)
       val idx      = ScanIndex.build(g, Similarity.Cosine)
@@ -179,7 +179,7 @@ class ScanQuerySpec extends SparkSpec {
     * every point, on both query paths.
     */
   private def assertSameAsSequential(g: DataFrame, idx: ScanIndex, seq: SeqScanIndex, points: Seq[(Int, Double)]): Unit =
-    for ((path, grain) <- TestUtil.queryPaths; (mu, eps) <- points) {
+    for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- points) {
       val clusters = TestUtil.cluster(idx, mu, eps, grain)
       val want     = seq.cluster(mu, eps)
       assert(TestUtil.clustersToMap(clusters) == want, s"clusters at ($mu, $eps)$path")
@@ -248,6 +248,20 @@ class ScanQuerySpec extends SparkSpec {
     assert(ScanQuery.maxRowsFor(Long.MaxValue) == Int.MaxValue - 1)
   }
 
+  test("a cluster query records its cores' ε-prefixes of NO as its work, and the path it ran on") {
+    val g   = GraphGen.rmat(spark, 9, 2000, seed = 65).cache()
+    val idx = ScanIndex.build(g, Similarity.Cosine)
+    val ix  = idx.layout.value
+    for ((mu, eps) <- Seq((2, 0.3), (3, 0.6), (idx.maxMu + 1, 0.1)); (path, grain) <- TestUtil.stripePaths) {
+      val clusters = TestUtil.cluster(idx, mu, eps, grain)
+      val work     = ix.cores(mu, eps).map(v => ix.noSim(v).count(_ >= eps).toLong).sum
+      assert(ScanQuery.phase(clusters).contains(Stripes.Phase("cluster", work, grain.getOrElse(Stripes.ClusterGrain))), s"($mu, $eps)$path")
+      assert(ScanQuery.phase(clusters).get.inline == grain.isEmpty, s"($mu, $eps)$path")
+    }
+    assert(ScanQuery.phase(ScanQuery.local(spark, "v LONG, cluster LONG", Array.empty)).isEmpty)
+    idx.unpersist(); g.unpersist()
+  }
+
   // -------------------------------------------------- structural gates ---
 
   // Caps are the counts measured on the test session once the layout
@@ -279,9 +293,9 @@ class ScanQuerySpec extends SparkSpec {
     val idx = ScanIndex.build(g, Similarity.Cosine).cache().materialize()
     val maxMu = idx.maxMu
     var clusters: DataFrame = null
-    val query = TestUtil.sparkJobs(spark) { clusters = ScanQuery.cluster(idx, 3, 0.6, 0L); clusters.collect() }
+    val query = TestUtil.sparkJobs(spark) { clusters = TestUtil.cluster(idx, 3, 0.6, Some(0L)); clusters.collect() }
     val empty = TestUtil.sparkJobs(spark) {
-      ScanQuery.cluster(idx, maxMu + 1, 0.1, 0L).collect(); ScanQuery.cluster(idx, 2, 1.5, 0L).collect()
+      TestUtil.cluster(idx, maxMu + 1, 0.1, Some(0L)).collect(); TestUtil.cluster(idx, 2, 1.5, Some(0L)).collect()
     }
     val roles = TestUtil.sparkJobs(spark)(ScanQuery.hubsAndOutliers(g, clusters).collect())
     info(s"query $query, empty $empty, roles $roles jobs")

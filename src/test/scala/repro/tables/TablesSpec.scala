@@ -28,6 +28,8 @@ class TablesSpec extends SparkSpec {
     val t = F5Construction.run(spark, "test", trials = 1, graphNames = twoGraphs)
     assert(t.rows.length == 2)
     allPositive(t.rows, 1); allPositive(t.rows, 2); allPositive(t.rows, 3)
+    // Test-scale graphs are below every grain: the build runs on the driver.
+    assert(t.rows.forall(_(6) == "triangles inline, orders inline"), t.rows.map(_(6)))
     println(t.render)
   }
 
