@@ -7,7 +7,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.approx.ApproxSimilarity
-import repro.baseline.{IndexLayout, SeqGraph, SeqScanIndex}
+import repro.baseline.{SeqGraph, SeqScanIndex}
 import repro.graph.{GraphGen, GraphOps}
 
 class ScanIndexSpec extends SparkSpec {
@@ -165,14 +165,6 @@ class ScanIndexSpec extends SparkSpec {
     }
   }
 
-  /** Two layouts hold the same NO and CO, similarities bit for bit. */
-  private def assertSameLayout(a: IndexLayout, b: IndexLayout): Unit = {
-    def same(x: Array[Array[Double]], y: Array[Array[Double]]) =
-      x.length == y.length && x.indices.forall(i => java.util.Arrays.equals(x(i), y(i)))
-    assert(a.noNbr.map(_.toSeq).toSeq == b.noNbr.map(_.toSeq).toSeq && same(a.noSim, b.noSim))
-    assert(a.coVert.map(_.toSeq).toSeq == b.coVert.map(_.toSeq).toSeq && same(a.coThresh, b.coThresh))
-  }
-
   test("Spark index NO and CO equal buildOpt exactly on an unweighted RMAT graph") {
     assertBuildMatchesBuildOpt(g)
   }
@@ -251,7 +243,7 @@ class ScanIndexSpec extends SparkSpec {
       assert(driver.phases.map(_.name) == Seq("sketch", "estimate", "orders"))
       assert(driver.phases.forall(_.inline) && tasks.phases.forall(!_.inline), s"${driver.phases} / ${tasks.phases}")
       assert(driver.phases.map(_.work) == tasks.phases.map(_.work))
-      assertSameLayout(driver.layout.value, tasks.layout.value)
+      assertSameIndex(tasks, new SeqScanIndex(SeqGraph.fromDataFrame(gw), driver.layout.value), 0.0)
       driver.unpersist(); tasks.unpersist(); gw.unpersist()
     }
   }
