@@ -14,7 +14,7 @@ import repro.core.{EdgeSims, ScanIndex, Similarity}
   *   approximated edge (no sketches for vertices with no high-degree
   *   neighbor), matching §6.3.
   *
-  * Both steps run over the broadcast driver CSR (`EdgeSims.approx`).
+  * Both steps run over the prepared graph (`EdgeSims.approx`).
   */
 object ApproxSimilarity {
 
@@ -24,22 +24,12 @@ object ApproxSimilarity {
     case Similarity.Jaccard => 3L * k / 2
   }
 
-  /** Per-edge (src, dst, sim) with LSH estimates on the dense part and
-    * exact values elsewhere.
+  /** Build a full approximate SCAN index (Theorem 5.1's pipeline: sketch,
+    * estimate, then the same neighbor-order/core-order construction).
     *
     * @param k    number of LSH samples
     * @param seed randomness seed (each bench trial uses a fresh seed, as in
     *             the paper's five-trial protocol)
-    */
-  def similarities(
-      canonical: DataFrame,
-      measure: Similarity.Measure,
-      k: Int,
-      seed: Long): DataFrame =
-    EdgeSims.approx(canonical, measure, k, seed, threshold(measure, k)).similarities
-
-  /** Build a full approximate SCAN index (Theorem 5.1's pipeline: sketch,
-    * estimate, then the same neighbor-order/core-order construction).
     */
   def buildIndex(
       canonical: DataFrame,
@@ -47,14 +37,4 @@ object ApproxSimilarity {
       k: Int,
       seed: Long): ScanIndex =
     ScanIndex.fromEdgeSims(EdgeSims.approx(canonical, measure, k, seed, threshold(measure, k)))
-
-  /** Pure-LSH similarities for all edges, no heuristic — used by the
-    * theorem-accuracy tests (Theorems 5.2/5.3 speak to the raw estimator).
-    */
-  def similaritiesNoHeuristic(
-      canonical: DataFrame,
-      measure: Similarity.Measure,
-      k: Int,
-      seed: Long): DataFrame =
-    EdgeSims.approx(canonical, measure, k, seed, t = -1).similarities
 }

@@ -56,7 +56,6 @@ object PpScan {
       eps: Double,
       stripe: Int,
       stripes: Int): Array[(Int, Array[Int], Array[Double])] = {
-    val normSqs = SeqScanIndex.normSquares(g, measure == Similarity.Jaccard)
     // The σ of an edge whose dot is the smaller closed degree, in the
     // kernel's own expressions: rounding is monotone, so no σ exceeds it
     // (sqrt(min/max) can round below σ, e.g. closed degrees 2 and 3).
@@ -74,7 +73,7 @@ object PpScan {
         while (k < d) {
           val u = g.adj(v)(k)
           if (!bounded || bound(d + 1.0, g.degree(u) + 1.0) >= eps) {
-            val s = SeqScanIndex.edgeSim(g, measure, normSqs, v, k)
+            val s = SeqScanIndex.edgeSim(g, measure, v, k)
             if (s >= eps) { nbrs += u; sims += s }
           }
           k += 1

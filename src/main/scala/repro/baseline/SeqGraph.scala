@@ -4,11 +4,11 @@ import org.apache.spark.sql.DataFrame
 import scala.reflect.ClassTag
 
 /** Driver-side compact adjacency representation for the sequential
-  * baselines (GS*-Index, original SCAN) and the Spark index build, which
-  * broadcasts it. Vertex ids are remapped to dense ints 0..n-1 (ascending
-  * by original id); adjacency lists are sorted by neighbor index — the
-  * precondition of the §6.1 merge-based triangle counting, and what GBBS's
-  * file format guarantees.
+  * baselines (GS*-Index, original SCAN) and the Spark operators, which
+  * read it as the prepared graph (`repro.core.PreparedGraph`). Vertex ids
+  * are remapped to dense ints 0..n-1 (ascending by original id); adjacency
+  * lists are sorted by neighbor index — the precondition of the §6.1
+  * merge-based triangle counting, and what GBBS's file format guarantees.
   */
 final class SeqGraph(
     val n: Int,
@@ -61,6 +61,19 @@ final class SeqGraph(
     val keep = Array.tabulate(n)(v => adj(v).indices.filter(k => rank(v) < rank(adj(v)(k))).toArray)
     def pick[T: ClassTag](col: Array[Array[T]]) = Array.tabulate(n)(v => keep(v).map(col(v)(_)))
     (pick(adj), pick(wts), pick(eids))
+  }
+
+  /** Squared closed-neighborhood norms ‖N̄(v)‖² = 1 + Σ_{x ∈ N(v)} w(v,x)²,
+    * built once, on first use. Every cosine similarity divides by
+    * sqrt(sqNorms(u) · sqNorms(v)), the same floating-point expression in
+    * every implementation, so unweighted similarities are bit-identical.
+    */
+  lazy val sqNorms: Array[Double] = Array.tabulate(n) { v =>
+    var s = 1.0
+    val w = wts(v)
+    var i = 0
+    while (i < w.length) { s += w(i) * w(i); i += 1 }
+    s
   }
 
   /** Edge id of {u, v}, or -1 if it is not an edge. */

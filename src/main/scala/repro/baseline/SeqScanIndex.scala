@@ -248,7 +248,6 @@ object SeqScanIndex {
   def simsBasic(g: SeqGraph, measure: Similarity.Measure): mutable.LongMap[Double] = {
     val unweighted = measure == Similarity.Jaccard
     val nbrSets = Array.tabulate(g.n)(v => g.adj(v).toSet)
-    val norms   = normSquares(g, unweighted)
     val sims    = new mutable.LongMap[Double](2 * g.numEdges.toInt + 1)
     g.edges.foreach { case (u, v, w0) =>
       val w = if (unweighted) 1.0 else w0
@@ -266,7 +265,7 @@ object SeqScanIndex {
         }
         i += 1
       }
-      sims(key(u, v)) = finish(g, measure, u, v, dot, norms)
+      sims(key(u, v)) = finish(g, measure, u, v, dot)
     }
     sims
   }
@@ -344,11 +343,11 @@ object SeqScanIndex {
     */
   def simsByEdge(g: SeqGraph, measure: Similarity.Measure, tri: Array[Double]): Array[Double] = {
     val unweighted = measure == Similarity.Jaccard
-    val (norms, sims) = (normSquares(g, unweighted), new Array[Double](tri.length))
+    val sims = new Array[Double](tri.length)
     for (u <- 0 until g.n) {
       val (a, w, e) = (g.adj(u), g.wts(u), g.eids(u))
       for (k <- a.indices) if (a(k) > u)
-        sims(e(k)) = finish(g, measure, u, a(k), 2.0 * (if (unweighted) 1.0 else w(k)) + tri(e(k)), norms)
+        sims(e(k)) = finish(g, measure, u, a(k), 2.0 * (if (unweighted) 1.0 else w(k)) + tri(e(k)))
     }
     sims
   }
@@ -358,7 +357,7 @@ object SeqScanIndex {
     * dot = 2·w(u,v) + Σ_{x ∈ N(u)∩N(v)} w(u,x)·w(v,x) and finishing it
     * like `simsByEdge`, so unweighted values equal the kernel's bit for bit.
     */
-  def edgeSim(g: SeqGraph, measure: Similarity.Measure, normSqs: Array[Double], u: Int, k: Int): Double = {
+  def edgeSim(g: SeqGraph, measure: Similarity.Measure, u: Int, k: Int): Double = {
     val unweighted = measure == Similarity.Jaccard
     val v = g.adj(u)(k)
     val (au, wu, av, wv) = (g.adj(u), g.wts(u), g.adj(v), g.wts(v))
@@ -372,32 +371,15 @@ object SeqScanIndex {
       } else if (x < y) i += 1
       else j += 1
     }
-    finish(g, measure, u, v, dot, normSqs)
+    finish(g, measure, u, v, dot)
   }
 
-  /** Squared closed-neighborhood norms 1 + Σ w(v,x)² (all weights 1 when
-    * `unweighted`); the final division uses sqrt(nsqU * nsqV) — the same
-    * floating-point expression in every implementation, so unweighted
-    * results are bit-identical across implementations.
+  /** σ(u, v) from its dot: over the graph's norms for cosine
+    * (`SeqGraph.sqNorms`), over the closed degrees for Jaccard.
     */
-  def normSquares(g: SeqGraph, unweighted: Boolean): Array[Double] =
-    Array.tabulate(g.n) { v =>
-      var s = 1.0
-      val w = g.wts(v)
-      var i = 0
-      while (i < w.length) { val x = if (unweighted) 1.0 else w(i); s += x * x; i += 1 }
-      s
-    }
-
-  private def finish(
-      g: SeqGraph,
-      measure: Similarity.Measure,
-      u: Int,
-      v: Int,
-      dot: Double,
-      normSqs: Array[Double]): Double =
+  private def finish(g: SeqGraph, measure: Similarity.Measure, u: Int, v: Int, dot: Double): Double =
     measure match {
-      case Similarity.Cosine  => dot / math.sqrt(normSqs(u) * normSqs(v))
+      case Similarity.Cosine  => dot / math.sqrt(g.sqNorms(u) * g.sqNorms(v))
       case Similarity.Jaccard => dot / ((g.degree(u) + 1) + (g.degree(v) + 1) - dot)
     }
 

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
 import org.apache.spark.sql.types.StructType
 import repro.approx.{MinHashOPH, SimHash}
@@ -8,21 +7,22 @@ import repro.baseline.{SeqGraph, SeqScanIndex}
 import scala.collection.mutable
 
 /** Per-edge similarities by `SeqGraph.eids`, kept on the driver beside
-  * their prepared graph (`PreparedGraph`) and broadcast only when a task
-  * reads them (`Shipped`). A DataFrame read off them runs in
+  * their prepared graph (`PreparedGraph`) and, like it, broadcast only
+  * when a task reads them (`Shipped`). A DataFrame read off them runs in
   * p = defaultParallelism tasks, task i over the vertex stripe
   * v ≡ i (mod p): §6.1's parallel loop over vertices. `phases` records how
   * each stripe phase of the computation ran (`Stripes`).
   */
 final class EdgeSims private (
     val spark: SparkSession,
-    val graph: Broadcast[SeqGraph],
+    val graph: Shipped[SeqGraph],
     private[core] val byEdge: Shipped[Array[Double]],
     val phases: Seq[Stripes.Phase]) {
 
   /** (src, dst, sim) in canonical orientation. */
   def similarities: DataFrame = {
     val (bg, bs) = (graph, byEdge)
+    bs.value // a released index is refused here, on the driver
     EdgeSims.rows(spark, bg.value.n, "src LONG, dst LONG, sim DOUBLE") { u =>
       val (g, sims) = (bg.value, bs.value)
       EdgeSims.upper(g, u).map(k => Row(g.ids(u), g.ids(g.adj(u)(k)), sims(g.eids(u)(k))))
@@ -94,18 +94,17 @@ object EdgeSims {
         val v = g.adj(u)(slot)
         if (sketches(u) != null && sketches(v) != null) k.toLong else g.degree(u).toLong + g.degree(v)
       }).sum, Stripes.EstimateGrain)
-    val (bsk, bn) = (new Shipped(sc, "the sketches", sketches), new Shipped(sc, "the norms", SeqScanIndex.normSquares(g, measure == Similarity.Jaccard)))
-    val sims = new Array[Double](g.numEdges.toInt)
+    val (bsk, sims) = (new Shipped(sc, "the sketches", sketches), new Array[Double](g.numEdges.toInt))
     Stripes.run(sc, estimatePhase, p) { (i, p) =>
-      val (g, sk, nsq, es, ss) = (bg.value, bsk.value, bn.value, new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble)
+      val (g, sk, es, ss) = (bg.value, bsk.value, new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble)
       for (u <- i until g.n by p; slot <- upper(g, u)) {
         val v = g.adj(u)(slot)
         es += g.eids(u)(slot)
-        ss += (if (sk(u) != null && sk(v) != null) estimate(sk(u), sk(v)) else SeqScanIndex.edgeSim(g, measure, nsq, u, slot))
+        ss += (if (sk(u) != null && sk(v) != null) estimate(sk(u), sk(v)) else SeqScanIndex.edgeSim(g, measure, u, slot))
       }
       (es.result(), ss.result())
     }.foreach { case (es, ss) => for (j <- es.indices) sims(es(j)) = ss(j) }
-    bsk.release(); bn.release()
+    bsk.release()
     new EdgeSims(spark, bg, new Shipped(sc, "the similarities", sims), Seq(sketchPhase, estimatePhase))
   }
 
@@ -138,9 +137,8 @@ object EdgeSims {
   private def sketched(g: SeqGraph, t: Long, v: Int): Boolean = g.degree(v) > t && g.adj(v).exists(g.degree(_) > t)
 
   /** The rows f gives for 0 until n, task i over x ≡ i (mod p). A
-    * Dataset serializes f only when an action runs, so a view of a
-    * released index can still be defined, and one whose values are
-    * `Shipped` broadcasts them only when it is read.
+    * Dataset serializes f only when an action runs, so a view whose values
+    * are `Shipped` broadcasts them only when it is read.
     */
   private[core] def rows(spark: SparkSession, n: Int, schema: String)(f: Int => Iterator[Row]): DataFrame = {
     val p = spark.sparkContext.defaultParallelism

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import repro.baseline.{IndexLayout, SeqGraph, SeqScanIndex}
 
@@ -33,7 +32,7 @@ final class ScanIndex private (
   val spark: SparkSession = edgeSims.spark
 
   /** The prepared graph the index is over: its dense ids are the layout's. */
-  private[core] def graph: Broadcast[SeqGraph] = edgeSims.graph
+  private[core] def graph: Shipped[SeqGraph] = edgeSims.graph
 
   /** Largest μ for which any vertex can be a core (= max |N̄(v)|); 1 for an
     * index with no edges.
@@ -50,7 +49,7 @@ final class ScanIndex private (
 
   def neighborOrder: DataFrame = {
     val (bl, bg) = (layout, graph)
-    EdgeSims.rows(spark, bg.value.n, "v LONG, rank INT, nbr LONG, sim DOUBLE") { v =>
+    EdgeSims.rows(spark, bl.value.noNbr.length, "v LONG, rank INT, nbr LONG, sim DOUBLE") { v =>
       val (ix, g) = (bl.value, bg.value)
       ix.noNbr(v).indices.iterator.map(i => Row(g.ids(v), i + 2, g.ids(ix.noNbr(v)(i)), ix.noSim(v)(i)))
     }
@@ -58,7 +57,7 @@ final class ScanIndex private (
 
   def coreOrder: DataFrame = {
     val (bl, bg) = (layout, graph)
-    EdgeSims.rows(spark, maxMu + 1, "mu INT, coreRank INT, v LONG, threshold DOUBLE") { mu =>
+    EdgeSims.rows(spark, bl.value.maxMu + 1, "mu INT, coreRank INT, v LONG, threshold DOUBLE") { mu =>
       val (ix, g) = (bl.value, bg.value)
       ix.coVert(mu).indices.iterator.map(j => Row(mu, j + 1, g.ids(ix.coVert(mu)(j)), ix.coThresh(mu)(j)))
     }
@@ -73,7 +72,8 @@ final class ScanIndex private (
   /** Release the index: drop its similarities and layout, destroying the
     * broadcast of each that a task or a view read, and unpersist the
     * DataFrame `fromSimilarities` kept; the prepared graph stays. A later
-    * query or read of a view is refused.
+    * query, or a view of the similarities or the layout, is refused on the
+    * driver with an `IllegalStateException`.
     */
   def unpersist(): Unit = {
     kept.foreach(_.unpersist())

@@ -24,8 +24,8 @@ object Similarity {
   case object Cosine  extends Measure
   case object Jaccard extends Measure
 
-  /** Exact similarities for every edge: the §6.1 merge kernel over a
-    * broadcast degree-directed CSR, one vertex stripe per task (`EdgeSims`).
+  /** Exact similarities for every edge: the §6.1 merge kernel over the
+    * prepared graph's degree-directed CSR, in vertex stripes (`EdgeSims`).
     * Each triangle is found exactly once and contributes to its three edges.
     *
     * Returns (src, dst, sim) in canonical orientation.

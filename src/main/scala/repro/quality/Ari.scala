@@ -1,10 +1,11 @@
 package repro.quality
 
 import org.apache.spark.sql.DataFrame
-import repro.core.ScanQuery
+import repro.core.{PreparedGraph, ScanQuery}
 
 /** Adjusted Rand index (§7.2, Hubert & Arabie [38]) between a proposed
-  * clustering and a ground-truth clustering over the same vertex set.
+  * clustering and a ground-truth clustering over the vertices of a
+  * canonical graph, read off its prepared graph (`PreparedGraph`).
   *
   * Vertices missing from either clustering are treated as singleton
   * clusters, mirroring the modularity treatment of unclustered vertices:
@@ -14,8 +15,8 @@ import repro.core.ScanQuery
   */
 object Ari {
 
-  def ari(proposed: DataFrame, truth: DataFrame, allVertices: DataFrame): Double = {
-    val ids    = allVertices.select("v").collect().map(_.getAs[Number](0).longValue).distinct.sorted
+  def ari(canonical: DataFrame, proposed: DataFrame, truth: DataFrame): Double = {
+    val ids    = PreparedGraph.of(canonical).value.ids
     val (a, b) = (ScanQuery.labels(ids, proposed), ScanQuery.labels(ids, truth))
 
     def pairs[K](keys: Iterable[K]): Double =

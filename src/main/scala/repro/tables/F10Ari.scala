@@ -3,7 +3,6 @@ package repro.tables
 import org.apache.spark.sql.SparkSession
 import repro.approx.ApproxSimilarity
 import repro.core.{ScanIndex, ScanQuery, Similarity}
-import repro.graph.GraphOps
 import repro.quality.Ari
 import repro.util.Timing
 import TableResult.secs
@@ -26,7 +25,6 @@ object F10Ari {
     var seedCounter = 4000L
     val rows = Datasets.suite(scale).filter(g => graphNames.contains(g.name)).flatMap { bg =>
       val edges   = bg.load(spark)
-      val verts   = GraphOps.vertices(edges)
       val measure = Similarity.Cosine
 
       val exactIdx = ScanIndex.build(edges, measure)
@@ -39,7 +37,7 @@ object F10Ari {
         seedCounter += 1
         val (idx, tApprox) = Timing.time(ApproxSimilarity.buildIndex(edges, measure, k, seedCounter))
         val approx = ScanQuery.cluster(idx, muBest, epsBest)
-        val a = Ari.ari(approx, truth, verts)
+        val a = Ari.ari(edges, approx, truth)
         idx.unpersist()
         Seq(bg.name, s"($muBest, $epsBest)", s"k=$k", secs(tApprox), f"$a%.4f")
       }

@@ -1,7 +1,7 @@
 package repro.tables
 
 import org.apache.spark.sql.SparkSession
-import repro.baseline.{PpScan, SeqScanIndex}
+import repro.baseline.{PpScan, SeqGraph, SeqScanIndex}
 import repro.core.{PreparedGraph, ScanIndex, ScanQuery, Similarity}
 import repro.util.Timing
 import TableResult.secs
@@ -26,27 +26,35 @@ object F6EpsSweep {
       mu: Int = 5,
       epsList: Seq[Double] = defaultEps,
       trials: Int = 3,
-      graphNames: Option[Seq[String]] = None): TableResult = {
-    val rows = Datasets.select(scale, graphNames).flatMap { bg =>
+      graphNames: Option[Seq[String]] = None): TableResult =
+    TableResult(
+      s"Figure 6 (scale=$scale): query time, mu=$mu, varying eps, cosine [s]",
+      Seq("graph", "eps", "ours(spark)", "GS*-query(seq)", "ppSCAN-like(spark)"),
+      sweep(spark, scale, trials, graphNames)(_ => epsList.map(eps => (mu, eps, f"$eps%.1f"))))
+
+  /** Figs. 6–7's query-time loop: on each graph, build the Spark and the
+    * sequential index once, then time each (μ, ε, label) point that
+    * `points` gives for the prepared graph — the index query, the
+    * GS*-query and ppSCAN-like, each the median of `trials` — as the rows
+    * (graph, label, three times).
+    */
+  private[tables] def sweep(spark: SparkSession, scale: String, trials: Int, graphNames: Option[Seq[String]])(
+      points: SeqGraph => Seq[(Int, Double, String)]): Seq[Seq[String]] =
+    Datasets.select(scale, graphNames).flatMap { bg =>
       val edges  = bg.load(spark)
       val index  = ScanIndex.build(edges, Similarity.Cosine)
       val g      = PreparedGraph.of(edges).value
       val seqIdx = SeqScanIndex.buildOpt(g, Similarity.Cosine)
 
-      val out = epsList.map { eps =>
+      val out = points(g).map { case (mu, eps, label) =>
         val (_, tOurs) = Timing.medianTime(trials)(ScanQuery.cluster(index, mu, eps).collect())
         val (_, tSeq)  = Timing.medianTime(trials)(seqIdx.cluster(mu, eps))
         val (_, tPp)   = Timing.medianTime(trials)(
           PpScan.cluster(edges, Similarity.Cosine, mu, eps).collect())
-        Seq(bg.name, f"$eps%.1f", secs(tOurs), secs(tSeq), secs(tPp))
+        Seq(bg.name, label, secs(tOurs), secs(tSeq), secs(tPp))
       }
       index.unpersist()
       edges.unpersist()
       out
     }
-    TableResult(
-      s"Figure 6 (scale=$scale): query time, mu=$mu, varying eps, cosine [s]",
-      Seq("graph", "eps", "ours(spark)", "GS*-query(seq)", "ppSCAN-like(spark)"),
-      rows)
-  }
 }

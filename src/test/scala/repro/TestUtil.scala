@@ -42,6 +42,11 @@ object TestUtil {
   /** Ids of the broadcasts whose blocks the driver holds. */
   def broadcastIds(spark: SparkSession): Set[Long] = ListenerBusAccess.broadcastIds(spark.sparkContext)
 
+  /** `broadcastIds` without the task binary Spark broadcasts for each stage
+    * it runs: the broadcasts of values, such as a `Shipped` one.
+    */
+  def valueBroadcastIds(spark: SparkSession): Set[Long] = ListenerBusAccess.valueBroadcastIds(spark.sparkContext)
+
   /** (src, dst, sim) DataFrame → map keyed by canonical (src, dst). */
   def simsToMap(df: DataFrame): Map[(Long, Long), Double] =
     df.select("src", "dst", "sim")

@@ -1,26 +1,37 @@
 package repro.approx
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
 import repro.baseline.SeqGraph
-import repro.core.{ScanIndex, ScanQuery, Similarity, Stripes}
-import repro.graph.{GraphGen, GraphOps}
+import repro.core.{EdgeSims, ScanIndex, ScanQuery, Similarity, Stripes}
+import repro.graph.{GraphGen, GraphViews}
 
 class ApproxSpec extends SparkSpec {
+
+  /** Pure-LSH similarities for every edge, no heuristic (t = −1): the
+    * theorem-accuracy tests speak to the raw estimator (Theorems 5.2/5.3).
+    */
+  private def lsh(g: DataFrame, measure: Similarity.Measure, k: Int, seed: Long): DataFrame =
+    EdgeSims.approx(g, measure, k, seed, t = -1).similarities
+
+  /** The approximate index's similarities, with the §6.3 heuristic. */
+  private def heuristic(g: DataFrame, measure: Similarity.Measure, k: Int, seed: Long): DataFrame =
+    ApproxSimilarity.buildIndex(g, measure, k, seed).similarities
 
   // --------------------------------------------------------- SimHash -----
 
   test("SimHash sketches are deterministic in the seed") {
     val g  = GraphGen.erdosRenyi(spark, 60, 400, seed = 1)
-    val a  = ApproxSimilarity.similaritiesNoHeuristic(g, Similarity.Cosine, 64, seed = 5)
-    val b  = ApproxSimilarity.similaritiesNoHeuristic(g, Similarity.Cosine, 64, seed = 5)
+    val a  = lsh(g, Similarity.Cosine, 64, seed = 5)
+    val b  = lsh(g, Similarity.Cosine, 64, seed = 5)
     TestUtil.assertSimsEqual(TestUtil.simsToMap(a), TestUtil.simsToMap(b), 0.0)
   }
 
   test("SimHash estimates differ across seeds") {
     val g = GraphGen.erdosRenyi(spark, 60, 400, seed = 1)
-    val a = TestUtil.simsToMap(ApproxSimilarity.similaritiesNoHeuristic(g, Similarity.Cosine, 32, seed = 5))
-    val b = TestUtil.simsToMap(ApproxSimilarity.similaritiesNoHeuristic(g, Similarity.Cosine, 32, seed = 6))
+    val a = TestUtil.simsToMap(lsh(g, Similarity.Cosine, 32, seed = 5))
+    val b = TestUtil.simsToMap(lsh(g, Similarity.Cosine, 32, seed = 6))
     assert(a != b)
   }
 
@@ -33,20 +44,20 @@ class ApproxSpec extends SparkSpec {
   test("SimHash estimate of identical neighborhoods is 1 (twins in K3)") {
     // In K3 all closed neighborhoods are equal → identical sketches → cos(0)=1.
     val g = GraphGen.complete(spark, 3)
-    val s = TestUtil.simsToMap(ApproxSimilarity.similaritiesNoHeuristic(g, Similarity.Cosine, 64, seed = 3))
+    val s = TestUtil.simsToMap(lsh(g, Similarity.Cosine, 64, seed = 3))
     s.values.foreach(v => assert(math.abs(v - 1.0) < 1e-12))
   }
 
   test("Theorem 5.2: high-k SimHash classifies edges outside the eps band correctly") {
     val g   = GraphGen.denseWeighted(spark, 50, 500, seed = 4)
-    val n   = GraphOps.numVertices(g).toDouble
-    val m   = GraphOps.numEdges(g).toDouble
+    val n   = GraphViews.numVertices(g).toDouble
+    val m   = GraphViews.numEdges(g).toDouble
     val eps = 0.5
     val delta = 0.25
     val kMin = math.ceil(math.Pi * math.Pi * math.log(n * m) / (2 * delta * delta)).toInt
     val k = Integer.highestOneBit(kMin) * 2 // round up to a power of two
     val exact  = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Cosine))
-    val approx = TestUtil.simsToMap(ApproxSimilarity.similaritiesNoHeuristic(g, Similarity.Cosine, k, seed = 7))
+    val approx = TestUtil.simsToMap(lsh(g, Similarity.Cosine, k, seed = 7))
     val lo = eps - delta
     val hi = eps + math.sqrt(1 - eps * eps) * delta
     exact.foreach { case (e, s) =>
@@ -59,27 +70,27 @@ class ApproxSpec extends SparkSpec {
 
   test("MinHash OPH sketches are deterministic in the seed") {
     val g = GraphGen.erdosRenyi(spark, 60, 400, seed = 11)
-    val a = TestUtil.simsToMap(ApproxSimilarity.similaritiesNoHeuristic(g, Similarity.Jaccard, 32, seed = 5))
-    val b = TestUtil.simsToMap(ApproxSimilarity.similaritiesNoHeuristic(g, Similarity.Jaccard, 32, seed = 5))
+    val a = TestUtil.simsToMap(lsh(g, Similarity.Jaccard, 32, seed = 5))
+    val b = TestUtil.simsToMap(lsh(g, Similarity.Jaccard, 32, seed = 5))
     assert(a == b)
   }
 
   test("MinHash estimate of identical sets is 1 (twins in K4)") {
     val g = GraphGen.complete(spark, 4)
-    val s = TestUtil.simsToMap(ApproxSimilarity.similaritiesNoHeuristic(g, Similarity.Jaccard, 64, seed = 13))
+    val s = TestUtil.simsToMap(lsh(g, Similarity.Jaccard, 64, seed = 13))
     s.values.foreach(v => assert(v == 1.0))
   }
 
   test("MinHash estimates are within [0, 1]") {
     val g = GraphGen.rmat(spark, 8, 700, seed = 14)
-    val s = TestUtil.simsToMap(ApproxSimilarity.similaritiesNoHeuristic(g, Similarity.Jaccard, 16, seed = 15))
+    val s = TestUtil.simsToMap(lsh(g, Similarity.Jaccard, 16, seed = 15))
     s.values.foreach(v => assert(v >= 0.0 && v <= 1.0))
   }
 
   test("Theorem 5.3 analogue: high-k MinHash classifies edges outside eps±delta") {
     val g     = GraphGen.erdosRenyi(spark, 64, 600, seed = 16)
-    val n     = GraphOps.numVertices(g).toDouble
-    val m     = GraphOps.numEdges(g).toDouble
+    val n     = GraphViews.numVertices(g).toDouble
+    val m     = GraphViews.numEdges(g).toDouble
     val eps   = 0.4
     val delta = 0.22
     // Theorem 5.3 is for standard MinHash; OPH has lower variance in
@@ -87,7 +98,7 @@ class ApproxSpec extends SparkSpec {
     // not formally covering OPH.
     val k = math.max(256, math.ceil(math.log(n * m) / (2 * delta * delta)).toInt)
     val exact  = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Jaccard))
-    val approx = TestUtil.simsToMap(ApproxSimilarity.similaritiesNoHeuristic(g, Similarity.Jaccard, k, seed = 17))
+    val approx = TestUtil.simsToMap(lsh(g, Similarity.Jaccard, k, seed = 17))
     var bad = 0
     exact.foreach { case (e, s) =>
       if (s <= eps - delta && !(approx(e) < eps)) bad += 1
@@ -102,9 +113,9 @@ class ApproxSpec extends SparkSpec {
     val g = GraphGen.rmat(spark, 8, 900, seed = 21)
     val k = 8
     val exact  = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Cosine))
-    val approx = TestUtil.simsToMap(ApproxSimilarity.similarities(g, Similarity.Cosine, k, seed = 22))
+    val approx = TestUtil.simsToMap(heuristic(g, Similarity.Cosine, k, seed = 22))
     assert(approx.keySet == exact.keySet)
-    val deg = GraphOps.degrees(g).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val deg = GraphViews.degrees(g).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
     exact.foreach { case ((u, v), s) =>
       if (deg(u) <= k || deg(v) <= k) {
         assert(approx((u, v)) == s, s"low-degree edge ($u,$v) not exact")
@@ -116,7 +127,7 @@ class ApproxSpec extends SparkSpec {
     // On a star, the center has high degree but every edge touches a
     // degree-1 leaf → all edges exact, and the result matches exact sims.
     val g = GraphGen.star(spark, 30)
-    val approx = TestUtil.simsToMap(ApproxSimilarity.similarities(g, Similarity.Cosine, 4, seed = 23))
+    val approx = TestUtil.simsToMap(heuristic(g, Similarity.Cosine, 4, seed = 23))
     val exact  = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Cosine))
     TestUtil.assertSimsEqual(approx, exact, 0.0)
   }
@@ -124,21 +135,21 @@ class ApproxSpec extends SparkSpec {
   test("heuristic: jaccard threshold is 3k/2") {
     val k = 4 // threshold 6
     val g = GraphGen.complete(spark, 8) // all degrees 7 > 6 → all approximated
-    val approx = TestUtil.simsToMap(ApproxSimilarity.similarities(g, Similarity.Jaccard, k, seed = 24))
+    val approx = TestUtil.simsToMap(heuristic(g, Similarity.Jaccard, k, seed = 24))
     // identical closed neighborhoods → estimate exactly 1 regardless of k
     approx.values.foreach(v => assert(v == 1.0))
     val g2 = GraphGen.complete(spark, 7) // all degrees 6 <= 6 → all exact
-    val approx2 = TestUtil.simsToMap(ApproxSimilarity.similarities(g2, Similarity.Jaccard, k, seed = 25))
+    val approx2 = TestUtil.simsToMap(heuristic(g2, Similarity.Jaccard, k, seed = 25))
     val exact2  = TestUtil.simsToMap(Similarity.similarities(g2, Similarity.Jaccard))
     TestUtil.assertSimsEqual(approx2, exact2, 0.0)
   }
 
   test("heuristic on a weighted graph: fallback edges equal exact sims, sketched ones lie in [-1, 1]") {
     val g   = GraphGen.erdosRenyi(spark, 80, 600, seed = 28, weighted = true).cache()
-    val deg = GraphOps.degrees(g).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val deg = GraphViews.degrees(g).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
     val k   = deg.values.toSeq.sorted.apply(deg.size / 2).toInt // median degree
     val exact  = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Cosine))
-    val approx = TestUtil.simsToMap(ApproxSimilarity.similarities(g, Similarity.Cosine, k, seed = 29))
+    val approx = TestUtil.simsToMap(heuristic(g, Similarity.Cosine, k, seed = 29))
     assert(approx.keySet == exact.keySet)
     val (fallback, sketched) = exact.keySet.partition { case (u, v) => deg(u) <= k || deg(v) <= k }
     assert(fallback.nonEmpty && sketched.nonEmpty, s"k=$k: ${fallback.size} fallback, ${sketched.size} sketched")
@@ -149,7 +160,7 @@ class ApproxSpec extends SparkSpec {
 
   test("approximate similarities cover every edge exactly once") {
     val g = GraphGen.denseWeighted(spark, 80, 1200, seed = 26)
-    val df = ApproxSimilarity.similarities(g, Similarity.Cosine, 16, seed = 27)
+    val df = heuristic(g, Similarity.Cosine, 16, seed = 27)
     assert(df.count() == g.count())
     assert(df.groupBy("src", "dst").count().filter(col("count") > 1).count() == 0)
   }

@@ -3,7 +3,7 @@ package repro.connectivity
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestUtil}
-import repro.graph.{GraphGen, GraphOps}
+import repro.graph.{GraphGen, GraphViews}
 
 class ConnectivitySpec extends SparkSpec {
   import spark.implicits._
@@ -40,7 +40,7 @@ class ConnectivitySpec extends SparkSpec {
 
   test("GraphX components match the DuckDB recursive-CTE oracle") {
     val g = GraphGen.erdosRenyi(spark, 40, 35, seed = 99)
-    val v = GraphOps.vertices(g)
+    val v = GraphViews.vertices(g)
     Oracle.assertEquivalent(
       Connectivity.connectedComponentsGraphX(spark, v, g).select("v", "component"),
       TestUtil.componentsSql,
@@ -49,7 +49,7 @@ class ConnectivitySpec extends SparkSpec {
 
   test("component label is always the minimum member id") {
     val g = GraphGen.rmat(spark, 8, 400, seed = 97)
-    val v = GraphOps.vertices(g)
+    val v = GraphViews.vertices(g)
     val comps = Connectivity.connectedComponentsGraphX(spark, v, g)
     val bad = comps.groupBy("component").agg(min("v").as("mn"))
       .filter(col("component") =!= col("mn"))

@@ -8,15 +8,15 @@ class PreparedGraphSpec extends SparkSpec {
 
   private val points = Seq((2, 0.3), (2, 0.5), (3, 0.4), (4, 0.6))
 
-  test("the same DataFrame object gets the same broadcast graph") {
+  test("the same DataFrame object gets the same prepared graph") {
     val g = GraphGen.figureLike(spark)
     assert(PreparedGraph.of(g) eq PreparedGraph.of(g))
   }
 
-  test("a different DataFrame with equal content gets its own broadcast graph") {
+  test("a different DataFrame with equal content gets its own prepared graph") {
     val (a, b) = (GraphGen.figureLike(spark), GraphGen.figureLike(spark))
     val (ga, gb) = (PreparedGraph.of(a), PreparedGraph.of(b))
-    assert(ga.id != gb.id)
+    assert(!(ga eq gb) && !(ga.value eq gb.value))
     assert(ga.value.ids.sameElements(gb.value.ids))
     assert(ga.value.adj.map(_.toSeq).toSeq == gb.value.adj.map(_.toSeq).toSeq)
   }
@@ -50,7 +50,7 @@ class PreparedGraphSpec extends SparkSpec {
         val want = TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(built, clusters))
         assert(TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(other, clusters)) == want, s"roles at ($mu, $eps)")
       }
-      assert(PreparedGraph.of(other).id != PreparedGraph.of(built).id)
+      assert(!(PreparedGraph.of(other) eq PreparedGraph.of(built)))
       idx.unpersist(); built.unpersist()
     }
   }

@@ -1,14 +1,13 @@
 package repro.core
 
 import java.io.{ObjectOutputStream, OutputStream}
-import org.apache.spark.SparkException
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.approx.ApproxSimilarity
 import repro.baseline.{SeqGraph, SeqScanIndex}
-import repro.graph.{GraphGen, GraphOps}
+import repro.graph.{GraphGen, GraphOps, GraphViews}
 
 class ScanIndexSpec extends SparkSpec {
 
@@ -19,7 +18,7 @@ class ScanIndexSpec extends SparkSpec {
     val bad = index.neighborOrder
       .groupBy("v")
       .agg(min("rank").as("lo"), max("rank").as("hi"), count(lit(1)).as("c"))
-      .join(GraphOps.degrees(g), Seq("v"))
+      .join(GraphViews.degrees(g), Seq("v"))
       .filter(col("lo") =!= 2 || col("hi") =!= col("deg") + 1 || col("c") =!= col("deg"))
     assert(bad.count() == 0)
   }
@@ -48,7 +47,7 @@ class ScanIndexSpec extends SparkSpec {
 
   test("core order has one row per (vertex, mu) with |N̄(v)| >= mu") {
     // Row count = Σ_v deg(v) (mu ranges 2..deg+1).
-    val expected = GraphOps.degrees(g).agg(sum("deg")).collect()(0).getLong(0)
+    val expected = GraphViews.degrees(g).agg(sum("deg")).collect()(0).getLong(0)
     assert(index.coreOrder.count() == expected)
   }
 
@@ -78,7 +77,7 @@ class ScanIndexSpec extends SparkSpec {
   }
 
   test("maxMu equals the maximum closed degree") {
-    val maxDeg = GraphOps.degrees(g).agg(max("deg")).collect()(0).getLong(0)
+    val maxDeg = GraphViews.degrees(g).agg(max("deg")).collect()(0).getLong(0)
     assert(index.maxMu == maxDeg + 1)
   }
 
@@ -277,9 +276,10 @@ class ScanIndexSpec extends SparkSpec {
     val mine = GraphGen.rmat(spark, 7, 500, seed = 64).cache()
     mine.count()
     val idx = ScanIndex.build(mine, Similarity.Cosine).cache().materialize()
+    val view = idx.neighborOrder // a released index refuses new views
     idx.unpersist()
     assert(mine.storageLevel != StorageLevel.NONE)
-    assert(idx.neighborOrder.storageLevel == StorageLevel.NONE)
+    assert(view.storageLevel == StorageLevel.NONE)
     mine.unpersist()
   }
 
@@ -307,13 +307,16 @@ class ScanIndexSpec extends SparkSpec {
   }
 
   // Below the grains every phase runs on the driver: the cold build only
-  // collects the graph, and the warm one starts no job and, since no task
-  // reads the similarities or the layout, broadcasts nothing.
+  // collects the graph, and the warm one starts no job. Since no task reads
+  // the prepared graph, the similarities or the layout, neither broadcasts
+  // any of them; the cold build's collect broadcasts only its task binary.
   test("on RMAT-9 a cold exact build below the grain runs 1 Spark job, and a warm one 0 with no broadcast") {
     val graph = GraphGen.rmat(spark, 9, 2000, seed = 72).cache()
     graph.count()
     var idx: ScanIndex = null
+    val coldBefore = TestUtil.broadcastIds(spark)
     val cold = TestUtil.sparkJobs(spark) { idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize() }
+    val coldMade = TestUtil.valueBroadcastIds(spark) -- coldBefore
     idx.unpersist()
     val before = TestUtil.broadcastIds(spark)
     val warm   = TestUtil.sparkJobs(spark) { idx = ScanIndex.build(graph, Similarity.Cosine).cache().materialize() }
@@ -322,6 +325,7 @@ class ScanIndexSpec extends SparkSpec {
     assert(idx.phases.forall(_.inline), idx.phases)
     assert(cold == 1, s"$cold Spark jobs")
     assert(warm == 0, s"$warm Spark jobs")
+    assert(coldMade.isEmpty, s"cold broadcasts $coldMade")
     assert(made.isEmpty, s"broadcasts $made")
     idx.unpersist(); graph.unpersist()
   }
@@ -350,18 +354,18 @@ class ScanIndexSpec extends SparkSpec {
     val idx = ScanIndex.build(graph, Similarity.Cosine)
     idx.unpersist()
     // A released index refuses to be read, on the driver, in tasks or
-    // through a view, and broadcasts nothing again. A view is refused when
-    // Spark serializes its task, which reports the refusal as the cause.
-    def messages(e: Throwable): String = Iterator.iterate(e)(_.getCause).takeWhile(_ != null).map(_.getMessage).mkString(" / ")
+    // through a view, and broadcasts nothing again. A view is refused on
+    // the driver, before Spark serializes a task.
     val before = TestUtil.broadcastIds(spark)
     val refused = Seq(
       intercept[IllegalStateException](idx.layout.value),
       intercept[IllegalStateException](ScanQuery.cluster(idx, 3, 0.5)),
       intercept[IllegalStateException](TestUtil.cluster(idx, 3, 0.5, Some(0L))),
-      intercept[SparkException](idx.similarities.collect()),
-      intercept[SparkException](idx.neighborOrder.collect())).map(messages)
+      intercept[IllegalStateException](idx.similarities.collect()),
+      intercept[IllegalStateException](idx.neighborOrder.collect()),
+      intercept[IllegalStateException](idx.coreOrder.collect())).map(_.getMessage)
     refused.foreach(m => assert(m.contains("released by unpersist"), m))
-    assert(refused(3).contains("the similarities: released") && refused(4).contains("the index layout: released"), refused)
+    assert(refused(3).contains("the similarities: released") && refused.drop(4).forall(_.contains("the index layout: released")), refused)
     assert((TestUtil.broadcastIds(spark) -- before).isEmpty)
     var again: ScanIndex = null
     val jobs = TestUtil.sparkJobs(spark) { again = ScanIndex.build(graph, Similarity.Cosine) }
@@ -378,7 +382,7 @@ class ScanIndexSpec extends SparkSpec {
   }
 
   // The first build prepares the graph (one collect); the second reads the
-  // same broadcast CSR.
+  // same prepared graph.
   test("a second exact build on the same cached graph runs fewer Spark jobs than the first") {
     val graph = GraphGen.rmat(spark, 9, 2000, seed = 66).cache()
     graph.count()

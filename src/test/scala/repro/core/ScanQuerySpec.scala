@@ -153,7 +153,7 @@ class ScanQuerySpec extends SparkSpec {
     val roles    = ScanQuery.hubsAndOutliers(g, clusters)
     val nClustered   = clusters.count()
     val nUnclustered = roles.count()
-    assert(nClustered + nUnclustered == repro.graph.GraphOps.numVertices(g))
+    assert(nClustered + nUnclustered == repro.graph.GraphViews.numVertices(g))
     clusters.unpersist()
   }
 

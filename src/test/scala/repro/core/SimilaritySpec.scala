@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.baseline.{SeqGraph, SeqScan, SeqScanIndex}
-import repro.graph.{GraphGen, GraphOps}
+import repro.graph.GraphGen
 
 class SimilaritySpec extends SparkSpec {
 
@@ -126,9 +126,8 @@ class SimilaritySpec extends SparkSpec {
 
   private def naiveSims(g: DataFrame, m: Similarity.Measure): Map[(Long, Long), Double] = {
     val sg = SeqGraph.fromDataFrame(g)
-    val ns = SeqScanIndex.normSquares(sg, unweighted = m == Similarity.Jaccard)
     (for (u <- 0 until sg.n; k <- sg.adj(u).indices if sg.adj(u)(k) > u)
-      yield (sg.ids(u), sg.ids(sg.adj(u)(k))) -> SeqScanIndex.edgeSim(sg, m, ns, u, k)).toMap
+      yield (sg.ids(u), sg.ids(sg.adj(u)(k))) -> SeqScanIndex.edgeSim(sg, m, u, k)).toMap
   }
 
   for ((name, gen, weighted) <- Seq(
@@ -187,10 +186,10 @@ class SimilaritySpec extends SparkSpec {
       0.0)
   }
 
-  test("normSquares: 1 + sum of squared weights") {
+  test("sqNorms: 1 + sum of squared weights") {
     val g = GraphGen.fromWeightedEdges(spark, Seq((0L, 1L, 0.5), (0L, 2L, 2.0)))
     val sg = SeqGraph.fromDataFrame(g)
-    val ns = SeqScanIndex.normSquares(sg, unweighted = false)
+    val ns = sg.sqNorms
     assert(math.abs(ns(sg.idOf(0L)) - (1 + 0.25 + 4.0)) < 1e-12)
     assert(math.abs(ns(sg.idOf(1L)) - 1.25) < 1e-12)
     assert(math.abs(ns(sg.idOf(2L)) - 5.0) < 1e-12)

@@ -30,7 +30,7 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("rmat produces a skewed degree distribution") {
-    val degs = GraphOps.degrees(GraphGen.rmat(spark, 10, 8000, seed = 6))
+    val degs = GraphViews.degrees(GraphGen.rmat(spark, 10, 8000, seed = 6))
       .select("deg").collect().map(_.getLong(0))
     assert(degs.max >= 4 * (degs.sum / degs.length), "expected heavy-tailed degrees")
   }
@@ -78,8 +78,8 @@ class GraphGenSpec extends SparkSpec {
 
   test("figureLike graph shape: 10 vertices, 15 edges") {
     val g = GraphGen.figureLike(spark)
-    assert(GraphOps.numVertices(g) == 10)
-    assert(GraphOps.numEdges(g) == 15)
+    assert(GraphViews.numVertices(g) == 10)
+    assert(GraphViews.numEdges(g) == 15)
   }
 
   test("fromWeightedEdges round-trips weights") {

@@ -3,7 +3,7 @@ package repro.quality
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.core.{ScanIndex, ScanQuery, Similarity}
-import repro.graph.{GraphGen, GraphOps}
+import repro.graph.{GraphGen, GraphViews}
 
 class QualitySpec extends SparkSpec {
   import spark.implicits._
@@ -64,7 +64,7 @@ class QualitySpec extends SparkSpec {
     * DuckDB oracle.
     */
   private def assertOracleModularity(g: DataFrame, label: Long => Option[Long]): Unit = {
-    val clusters = GraphOps.vertices(g).collect().map(_.getLong(0)).flatMap(v => label(v).map(v -> _)).toMap
+    val clusters = GraphViews.vertices(g).collect().map(_.getLong(0)).flatMap(v => label(v).map(v -> _)).toMap
     val cdf = clustersDf(clusters)
     Oracle.assertEquivalent(
       Seq(Modularity.modularity(g, cdf)).toDF("q"),
@@ -111,13 +111,12 @@ class QualitySpec extends SparkSpec {
     val idx = ScanIndex.build(g, Similarity.Cosine)
     val (own, other) = (ScanQuery.cluster(idx, 3, 0.6), ScanQuery.cluster(idx, 2, 0.3))
     val fresh = clustersDf(TestUtil.clustersToMap(own))
-    val vs = GraphOps.vertices(g)
     val roles = TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(g, own))
     assert(fresh.count() > 0 && roles.nonEmpty)
     assert(TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(g, fresh)) == roles)
     assert(math.abs(Modularity.modularity(g, fresh) - Modularity.modularity(g, own)) < 1e-12)
-    assert(math.abs(Ari.ari(fresh, other, vs) - Ari.ari(own, other, vs)) < 1e-12)
-    assert(Ari.ari(fresh, own, vs) == 1.0)
+    assert(math.abs(Ari.ari(g, fresh, other) - Ari.ari(g, own, other)) < 1e-12)
+    assert(Ari.ari(g, fresh, own) == 1.0)
     idx.unpersist(); g.unpersist()
   }
 
@@ -137,17 +136,18 @@ class QualitySpec extends SparkSpec {
 
   // -------------------------------------------------------------- ARI ----
 
-  private def verts(n: Long): DataFrame = (0L until n).toDF("v")
+  /** A graph whose vertices are 0 until n: the path. */
+  private def verts(n: Int): DataFrame = GraphGen.path(spark, n)
 
   test("ARI of identical clusterings is 1") {
     val c = clustersDf((0L until 20L).map(v => v -> (v % 4)).toMap)
-    assert(Ari.ari(c, c, verts(20)) == 1.0)
+    assert(Ari.ari(verts(20), c, c) == 1.0)
   }
 
   test("ARI is invariant to relabeling") {
     val a = clustersDf((0L until 20L).map(v => v -> (v % 4)).toMap)
     val b = clustersDf((0L until 20L).map(v => v -> (100 + v % 4)).toMap)
-    assert(math.abs(Ari.ari(a, b, verts(20)) - 1.0) < 1e-12)
+    assert(math.abs(Ari.ari(verts(20), a, b) - 1.0) < 1e-12)
   }
 
   test("ARI hand-check on a 6-vertex example") {
@@ -158,32 +158,33 @@ class QualitySpec extends SparkSpec {
     // ai: 2,2,2 → 3; bj: 3,3 → 6; n=6 → C(6,2)=15
     // ARI = (2 − 3*6/15) / ((3+6)/2 − 3*6/15) = (2−1.2)/(4.5−1.2) = 0.8/3.3
     val expect = 0.8 / 3.3
-    assert(math.abs(Ari.ari(proposed, truth, verts(6)) - expect) < 1e-12)
+    assert(math.abs(Ari.ari(verts(6), proposed, truth) - expect) < 1e-12)
   }
 
   test("ARI symmetric in its arguments") {
     val a = clustersDf((0L until 30L).map(v => v -> (v % 3)).toMap)
     val b = clustersDf((0L until 30L).map(v => v -> (v % 5)).toMap)
-    assert(math.abs(Ari.ari(a, b, verts(30)) - Ari.ari(b, a, verts(30))) < 1e-12)
+    val g = verts(30)
+    assert(math.abs(Ari.ari(g, a, b) - Ari.ari(g, b, a)) < 1e-12)
   }
 
   test("ARI near zero for independent clusterings") {
     val a = clustersDf((0L until 400L).map(v => v -> (v % 2)).toMap)
     val b = clustersDf((0L until 400L).map(v => v -> ((v / 7) % 2)).toMap)
-    assert(math.abs(Ari.ari(a, b, verts(400))) < 0.1)
+    assert(math.abs(Ari.ari(verts(400), a, b)) < 0.1)
   }
 
   test("ARI handles missing vertices as singletons") {
     val a = clustersDf(Map(0L -> 0L, 1L -> 0L))
     val b = clustersDf(Map(0L -> 5L, 1L -> 5L))
     // vertices 2, 3 unclustered in both → singletons in both → ARI 1.
-    assert(math.abs(Ari.ari(a, b, verts(4)) - 1.0) < 1e-12)
+    assert(math.abs(Ari.ari(verts(4), a, b) - 1.0) < 1e-12)
   }
 
   test("ARI of a refinement is strictly between 0 and 1") {
     val truth    = clustersDf((0L until 40L).map(v => v -> (v / 20)).toMap)
     val refined  = clustersDf((0L until 40L).map(v => v -> (v / 10)).toMap)
-    val a = Ari.ari(refined, truth, verts(40))
+    val a = Ari.ari(verts(40), refined, truth)
     assert(a > 0.0 && a < 1.0)
   }
 
@@ -196,6 +197,6 @@ class QualitySpec extends SparkSpec {
     val partial = clustersDf(Map(0L -> 0L, 1L -> 0L, 2L -> 0L))
     val full    = clustersDf(Map(0L -> 0L, 1L -> 0L, 2L -> 0L, -1L -> 7L))
     assert(math.abs(Modularity.modularity(g, partial) - Modularity.modularity(g, full)) < 1e-12)
-    assert(Ari.ari(partial, full, GraphOps.vertices(g)) == 1.0)
+    assert(Ari.ari(g, partial, full) == 1.0)
   }
 }
