@@ -11,22 +11,24 @@ import repro.tables._
   */
 object Figures {
 
-  private val harnesses: Seq[(String, (SparkSession, String) => TableResult)] = Seq(
-    "table2" -> ((s, sc) => T2Datasets.run(s, sc)),
-    "fig5"   -> ((s, sc) => F5Construction.run(s, sc)),
-    "fig6"   -> ((s, sc) => F6EpsSweep.run(s, sc)),
-    "fig7"   -> ((s, sc) => F7MuSweep.run(s, sc)),
-    "fig8"   -> ((s, sc) => F8ApproxConstruction.run(s, sc)),
-    "fig9"   -> ((s, sc) => F9Modularity.run(s, sc)),
-    "fig10"  -> ((s, sc) => F10Ari.run(s, sc)))
+  private[repro] val harnesses: Seq[(String, (SparkSession, String) => TableResult)] = Seq(
+    "table2" -> T2Datasets.run,
+    "fig5"   -> F5Construction.run,
+    "fig6"   -> F6EpsSweep.run,
+    "fig7"   -> F7MuSweep.run,
+    "fig8"   -> F8ApproxConstruction.run,
+    "fig9"   -> F9Modularity.run,
+    "fig10"  -> F10Ari.run)
 
   def main(args: Array[String]): Unit = {
-    val usage = s"usage: Figures <${(harnesses.map(_._1) :+ "all").mkString("|")}> [test|bench]"
+    val usage =
+      s"usage: Figures <${(harnesses.map(_._1) :+ "all").mkString("|")}> [${Datasets.scales.mkString("|")}]"
     require(args.nonEmpty && args.length <= 2, usage)
     val figure = args(0)
     val scale  = args.lift(1).getOrElse("bench")
     val chosen = if (figure == "all") harnesses else harnesses.filter(_._1 == figure)
     require(chosen.nonEmpty, s"unknown figure '$figure'; $usage")
+    require(Datasets.scales.contains(scale), s"unknown scale '$scale'; $usage")
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"figures-$figure")

@@ -13,22 +13,16 @@ import repro.util.Hashing
   */
 object GraphGen {
 
-  /** RMAT / Kronecker-style power-law graph (stand-in for the paper's
-    * social/web graphs: Orkut, Friendster, WebBase).
+  /** RMAT / Kronecker-style power-law graph with quadrant probabilities
+    * (a, b, c, d) = (0.57, 0.19, 0.19, 0.05), unweighted (stand-in for the
+    * paper's social/web graphs: Orkut, Friendster, WebBase).
     *
     * @param scale     log2 of the number of vertices
     * @param numEdges  number of edge samples drawn (final count is slightly
     *                  lower after dedup/self-loop removal)
     */
-  def rmat(
-      spark: SparkSession,
-      scale: Int,
-      numEdges: Long,
-      seed: Long,
-      a: Double = 0.57,
-      b: Double = 0.19,
-      c: Double = 0.19,
-      weighted: Boolean = false): DataFrame = {
+  def rmat(spark: SparkSession, scale: Int, numEdges: Long, seed: Long): DataFrame = {
+    val (a, b, c) = (0.57, 0.19, 0.19)
     val pair = udf { (id: Long) =>
       var s = 0L
       var d = 0L
@@ -52,19 +46,23 @@ object GraphGen {
       .range(numEdges)
       .select(col("id"), pair(col("id")).as("e"))
       .select(col("id"), col("e._1").as("src"), col("e._2").as("dst"))
-    GraphOps.canonicalize(withWeight(raw, weighted, seed))
+    GraphOps.canonicalize(withWeight(raw, weighted = false, seed))
   }
 
   /** Erdős–Rényi-style graph by sampling `numEdges` uniform pairs
     * (stand-in for the dense unweighted "brain" graph when n is small
     * relative to numEdges).
     */
-  def erdosRenyi(
-      spark: SparkSession,
-      n: Long,
-      numEdges: Long,
-      seed: Long,
-      weighted: Boolean = false): DataFrame = {
+  def erdosRenyi(spark: SparkSession, n: Long, numEdges: Long, seed: Long): DataFrame =
+    uniformPairs(spark, n, numEdges, seed, weighted = false)
+
+  /** Dense weighted graph with uniform [0,1) weights (stand-in for the
+    * HumanBase tissue graphs: blood vessel, cochlea). Small n, high degree.
+    */
+  def denseWeighted(spark: SparkSession, n: Long, numEdges: Long, seed: Long): DataFrame =
+    uniformPairs(spark, n, numEdges, seed, weighted = true)
+
+  private def uniformPairs(spark: SparkSession, n: Long, numEdges: Long, seed: Long, weighted: Boolean): DataFrame = {
     val pair = udf { (id: Long) =>
       val h1 = Hashing.combine(seed, 2 * id)
       val h2 = Hashing.combine(seed, 2 * id + 1)
@@ -76,12 +74,6 @@ object GraphGen {
       .select(col("id"), col("e._1").as("src"), col("e._2").as("dst"))
     GraphOps.canonicalize(withWeight(raw, weighted, seed))
   }
-
-  /** Dense weighted graph with uniform [0,1) weights (stand-in for the
-    * HumanBase tissue graphs: blood vessel, cochlea). Small n, high degree.
-    */
-  def denseWeighted(spark: SparkSession, n: Long, numEdges: Long, seed: Long): DataFrame =
-    erdosRenyi(spark, n, numEdges, seed, weighted = true)
 
   /** Planted-partition graph: k equal communities, intra-community edge
     * probability pIn, inter pOut. O(n^2) pair enumeration — test scale only.

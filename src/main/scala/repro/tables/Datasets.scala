@@ -3,18 +3,28 @@ package repro.tables
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.GraphGen
 
-/** The Table 2 dataset suite — synthetic stand-ins for the paper's graphs
-  * (substitution rationale in DESIGN.md). Two scales: "test" (unit-test
-  * sized) and "bench" (the sizes EXPERIMENTS.md reports).
+/** One graph of the Table 2 suite: a synthetic stand-in for a paper graph
+  * (substitution rationale in DESIGN.md), with the paper graph's name and
+  * (n, m), and its generator at each scale: "test" (unit-test sized) and
+  * "bench" (the sizes EXPERIMENTS.md reports).
   */
 final case class BenchGraph(
     name: String,
     paperName: String,
+    paperSize: (Long, Long),
     weighted: Boolean,
-    gen: SparkSession => DataFrame) {
+    test: SparkSession => DataFrame,
+    bench: SparkSession => DataFrame) {
 
-  /** Generate, cache, and materialize the canonical edge DataFrame. */
-  def load(spark: SparkSession): DataFrame = {
+  /** Generate, cache, and materialize the canonical edge DataFrame at
+    * `scale`.
+    */
+  def load(spark: SparkSession, scale: String): DataFrame = {
+    val gen = scale match {
+      case "test"  => test
+      case "bench" => bench
+      case other   => throw new IllegalArgumentException(s"unknown scale '$other'")
+    }
     val df = gen(spark).cache()
     df.count()
     df
@@ -23,35 +33,22 @@ final case class BenchGraph(
 
 object Datasets {
 
-  /** Dense graphs where the paper found LSH worthwhile (§7.3.3). */
-  val denseNames: Set[String] = Set("brain-lite", "vessel-lite", "cochlea-lite")
+  /** The scales `BenchGraph.load` accepts. */
+  val scales: Seq[String] = Seq("test", "bench")
 
-  /** Suite restricted to `names` (None = all), preserving suite order. */
-  def select(scale: String, names: Option[Seq[String]]): Seq[BenchGraph] =
-    names match {
-      case None     => suite(scale)
-      case Some(ns) => suite(scale).filter(g => ns.contains(g.name))
-    }
-
-  def suite(scale: String): Seq[BenchGraph] = scale match {
-    case "bench" =>
-      Seq(
-        BenchGraph("orkut-lite", "Orkut", weighted = false, s => GraphGen.rmat(s, 16, 600000L, seed = 11)),
-        BenchGraph("brain-lite", "brain", weighted = false, s => GraphGen.erdosRenyi(s, 4096, 400000L, seed = 12)),
-        BenchGraph("webbase-lite", "WebBase", weighted = false, s => GraphGen.rmat(s, 17, 400000L, seed = 13)),
-        BenchGraph("friendster-lite", "Friendster", weighted = false, s => GraphGen.rmat(s, 16, 900000L, seed = 14)),
-        BenchGraph("vessel-lite", "blood vessel", weighted = true, s => GraphGen.denseWeighted(s, 1500, 250000L, seed = 15)),
-        BenchGraph("cochlea-lite", "cochlea", weighted = true, s => GraphGen.denseWeighted(s, 1500, 450000L, seed = 16)),
-      )
-    case "test" =>
-      Seq(
-        BenchGraph("orkut-lite", "Orkut", weighted = false, s => GraphGen.rmat(s, 10, 4000L, seed = 11)),
-        BenchGraph("brain-lite", "brain", weighted = false, s => GraphGen.erdosRenyi(s, 256, 4000L, seed = 12)),
-        BenchGraph("webbase-lite", "WebBase", weighted = false, s => GraphGen.rmat(s, 11, 3000L, seed = 13)),
-        BenchGraph("friendster-lite", "Friendster", weighted = false, s => GraphGen.rmat(s, 10, 6000L, seed = 14)),
-        BenchGraph("vessel-lite", "blood vessel", weighted = true, s => GraphGen.denseWeighted(s, 100, 1500L, seed = 15)),
-        BenchGraph("cochlea-lite", "cochlea", weighted = true, s => GraphGen.denseWeighted(s, 100, 2500L, seed = 16)),
-      )
-    case other => throw new IllegalArgumentException(s"unknown scale '$other'")
-  }
+  /** The six graphs, in Table 2's order. */
+  val all: Seq[BenchGraph] = Seq(
+    BenchGraph("orkut-lite", "Orkut", (3072441L, 117185083L), weighted = false,
+      GraphGen.rmat(_, 10, 4000L, seed = 11), GraphGen.rmat(_, 16, 600000L, seed = 11)),
+    BenchGraph("brain-lite", "brain", (784262L, 267844669L), weighted = false,
+      GraphGen.erdosRenyi(_, 256, 4000L, seed = 12), GraphGen.erdosRenyi(_, 4096, 400000L, seed = 12)),
+    BenchGraph("webbase-lite", "WebBase", (118142155L, 854809761L), weighted = false,
+      GraphGen.rmat(_, 11, 3000L, seed = 13), GraphGen.rmat(_, 17, 400000L, seed = 13)),
+    BenchGraph("friendster-lite", "Friendster", (65608366L, 1806067135L), weighted = false,
+      GraphGen.rmat(_, 10, 6000L, seed = 14), GraphGen.rmat(_, 16, 900000L, seed = 14)),
+    BenchGraph("vessel-lite", "blood vessel", (25825L, 70240269L), weighted = true,
+      GraphGen.denseWeighted(_, 100, 1500L, seed = 15), GraphGen.denseWeighted(_, 1500, 250000L, seed = 15)),
+    BenchGraph("cochlea-lite", "cochlea", (25825L, 282977319L), weighted = true,
+      GraphGen.denseWeighted(_, 100, 2500L, seed = 16), GraphGen.denseWeighted(_, 1500, 450000L, seed = 16)),
+  )
 }

@@ -15,25 +15,18 @@ import TableResult.secs
   */
 object F10Ari {
 
-  def run(
-      spark: SparkSession,
-      scale: String,
-      graphNames: Seq[String] = Seq("orkut-lite", "vessel-lite", "cochlea-lite"),
-      ks: Seq[Int] = F9Modularity.defaultKs,
-      mus: Seq[Int] = F9Modularity.defaultMus,
-      epsList: Seq[Double] = F9Modularity.defaultEps): TableResult = {
+  def run(spark: SparkSession, scale: String): TableResult = {
     var seedCounter = 4000L
-    val rows = Datasets.suite(scale).filter(g => graphNames.contains(g.name)).flatMap { bg =>
-      val edges   = bg.load(spark)
+    val rows = F9Modularity.graphs.flatMap { bg =>
+      val edges   = bg.load(spark, scale)
       val measure = Similarity.Cosine
 
       val exactIdx = ScanIndex.build(edges, measure)
-      val (_, muBest, epsBest) =
-        F9Modularity.bestModularity(edges, exactIdx, mus, epsList)
+      val (_, muBest, epsBest) = F9Modularity.bestModularity(edges, exactIdx)
       val truth = ScanQuery.cluster(exactIdx, muBest, epsBest)
       exactIdx.unpersist()
 
-      val out = ks.map { k =>
+      val out = F9Modularity.ks.map { k =>
         seedCounter += 1
         val (idx, tApprox) = Timing.time(ApproxSimilarity.buildIndex(edges, measure, k, seedCounter))
         val approx = ScanQuery.cluster(idx, muBest, epsBest)

@@ -20,17 +20,15 @@ import TableResult.{secs, x}
   * All three read the same prepared graph, collected before any timing.
   * One untimed Spark build and `buildOpt` on the first graph warm the JVM
   * up before it, so the first graph's columns are not its cold start; each
-  * cell is the median of `trials`, five as in the paper.
+  * cell is the median of five trials, as in the paper.
   */
 object F5Construction {
 
-  def run(
-      spark: SparkSession,
-      scale: String,
-      trials: Int = 5,
-      graphNames: Option[Seq[String]] = None): TableResult = {
-    val rows = Datasets.select(scale, graphNames).zipWithIndex.map { case (bg, i) =>
-      val edges = bg.load(spark)
+  private val trials = 5
+
+  def run(spark: SparkSession, scale: String): TableResult = {
+    val rows = Datasets.all.zipWithIndex.map { case (bg, i) =>
+      val edges = bg.load(spark, scale)
       val g     = PreparedGraph.of(edges).value
       if (i == 0) {
         ScanIndex.build(edges, Similarity.Cosine).unpersist()

@@ -18,30 +18,26 @@ import TableResult.secs
   */
 object F6EpsSweep {
 
-  val defaultEps: Seq[Double] = Seq(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+  private val mu      = 5
+  private val epsList = Seq(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+  private val trials  = 3
 
-  def run(
-      spark: SparkSession,
-      scale: String,
-      mu: Int = 5,
-      epsList: Seq[Double] = defaultEps,
-      trials: Int = 3,
-      graphNames: Option[Seq[String]] = None): TableResult =
+  def run(spark: SparkSession, scale: String): TableResult =
     TableResult(
       s"Figure 6 (scale=$scale): query time, mu=$mu, varying eps, cosine [s]",
       Seq("graph", "eps", "ours(spark)", "GS*-query(seq)", "ppSCAN-like(spark)"),
-      sweep(spark, scale, trials, graphNames)(_ => epsList.map(eps => (mu, eps, f"$eps%.1f"))))
+      sweep(spark, scale)(_ => epsList.map(eps => (mu, eps, f"$eps%.1f"))))
 
   /** Figs. 6–7's query-time loop: on each graph, build the Spark and the
     * sequential index once, then time each (μ, ε, label) point that
     * `points` gives for the prepared graph — the index query, the
-    * GS*-query and ppSCAN-like, each the median of `trials` — as the rows
-    * (graph, label, three times).
+    * GS*-query and ppSCAN-like, each the median of three trials — as the
+    * rows (graph, label, three times).
     */
-  private[tables] def sweep(spark: SparkSession, scale: String, trials: Int, graphNames: Option[Seq[String]])(
+  private[tables] def sweep(spark: SparkSession, scale: String)(
       points: SeqGraph => Seq[(Int, Double, String)]): Seq[Seq[String]] =
-    Datasets.select(scale, graphNames).flatMap { bg =>
-      val edges  = bg.load(spark)
+    Datasets.all.flatMap { bg =>
+      val edges  = bg.load(spark, scale)
       val index  = ScanIndex.build(edges, Similarity.Cosine)
       val g      = PreparedGraph.of(edges).value
       val seqIdx = SeqScanIndex.buildOpt(g, Similarity.Cosine)

@@ -9,17 +9,14 @@ import org.apache.spark.sql.SparkSession
   */
 object F7MuSweep {
 
-  def run(
-      spark: SparkSession,
-      scale: String,
-      eps: Double = 0.6,
-      trials: Int = 3,
-      muCap: Int = 16384,
-      graphNames: Option[Seq[String]] = None): TableResult =
+  private val eps   = 0.6
+  private val muCap = 16384
+
+  def run(spark: SparkSession, scale: String): TableResult =
     TableResult(
       s"Figure 7 (scale=$scale): query time, eps=$eps, varying mu, cosine [s]",
       Seq("graph", "mu", "ours(spark)", "GS*-query(seq)", "ppSCAN-like(spark)"),
-      F6EpsSweep.sweep(spark, scale, trials, graphNames) { g =>
+      F6EpsSweep.sweep(spark, scale) { g =>
         Iterator
           .iterate(2)(_ * 2)
           .takeWhile(m => m <= math.min(muCap, Integer.highestOneBit(g.maxDegree)))

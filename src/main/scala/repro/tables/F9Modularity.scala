@@ -16,43 +16,38 @@ import TableResult.secs
   */
 object F9Modularity {
 
-  val defaultMus: Seq[Int]     = Seq(2, 8, 32)
-  val defaultEps: Seq[Double]  = Seq(0.3, 0.5, 0.7)
-  val defaultKs: Seq[Int]      = Seq(16, 64, 256)
+  /** Figs. 9–10's graphs (one power-law, two dense weighted), sample counts
+    * and Σ.
+    */
+  private[tables] val graphs =
+    Datasets.all.filter(g => Set("orkut-lite", "vessel-lite", "cochlea-lite").contains(g.name))
+  private[tables] val ks = Seq(16, 64, 256)
+  private val mus         = Seq(2, 8, 32)
+  private val epsList     = Seq(0.3, 0.5, 0.7)
 
-  /** Best modularity over the grid plus the argmax parameters. */
-  def bestModularity(
-      edges: DataFrame,
-      index: ScanIndex,
-      mus: Seq[Int],
-      epsList: Seq[Double]): (Double, Int, Double) = {
+  /** Best modularity over Σ plus the argmax parameters. */
+  private[tables] def bestModularity(edges: DataFrame, index: ScanIndex): (Double, Int, Double) = {
     val scored = for { mu <- mus; eps <- epsList }
       yield (Modularity.modularity(edges, ScanQuery.cluster(index, mu, eps)), mu, eps)
     scored.maxBy(_._1)
   }
 
-  def run(
-      spark: SparkSession,
-      scale: String,
-      graphNames: Seq[String] = Seq("orkut-lite", "vessel-lite", "cochlea-lite"),
-      ks: Seq[Int] = defaultKs,
-      mus: Seq[Int] = defaultMus,
-      epsList: Seq[Double] = defaultEps): TableResult = {
+  def run(spark: SparkSession, scale: String): TableResult = {
     var seedCounter = 9000L
-    val rows = Datasets.suite(scale).filter(g => graphNames.contains(g.name)).flatMap { bg =>
-      val edges   = bg.load(spark)
+    val rows = graphs.flatMap { bg =>
+      val edges   = bg.load(spark, scale)
       val measure = Similarity.Cosine
       PreparedGraph.of(edges) // collected before timing, so no build pays for it
 
       val (exactIdx, tExact) = Timing.time(ScanIndex.build(edges, measure))
-      val (qExact, muE, epsE) = bestModularity(edges, exactIdx, mus, epsList)
+      val (qExact, muE, epsE) = bestModularity(edges, exactIdx)
       exactIdx.unpersist()
       val exactRow = Seq(bg.name, "exact", secs(tExact), f"$qExact%.4f", s"($muE, $epsE)")
 
       val approxRows = ks.map { k =>
         seedCounter += 1
         val (idx, tApprox) = Timing.time(ApproxSimilarity.buildIndex(edges, measure, k, seedCounter))
-        val (q, muB, epsB) = bestModularity(edges, idx, mus, epsList)
+        val (q, muB, epsB) = bestModularity(edges, idx)
         idx.unpersist()
         Seq(bg.name, s"k=$k", secs(tApprox), f"$q%.4f", s"($muB, $epsB)")
       }

@@ -8,20 +8,11 @@ import repro.core.PreparedGraph
   */
 object T2Datasets {
 
-  private val paperSizes: Map[String, (Long, Long)] = Map(
-    "Orkut"        -> (3072441L, 117185083L),
-    "brain"        -> (784262L, 267844669L),
-    "WebBase"      -> (118142155L, 854809761L),
-    "Friendster"   -> (65608366L, 1806067135L),
-    "blood vessel" -> (25825L, 70240269L),
-    "cochlea"      -> (25825L, 282977319L),
-  )
-
   def run(spark: SparkSession, scale: String): TableResult = {
-    val rows = Datasets.suite(scale).map { bg =>
-      val edges = bg.load(spark)
+    val rows = Datasets.all.map { bg =>
+      val edges = bg.load(spark, scale)
       val g = PreparedGraph.of(edges).value
-      val (pn, pm) = paperSizes(bg.paperName)
+      val (pn, pm) = bg.paperSize
       edges.unpersist()
       Seq(
         bg.name,

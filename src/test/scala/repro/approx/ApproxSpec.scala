@@ -145,7 +145,7 @@ class ApproxSpec extends SparkSpec {
   }
 
   test("heuristic on a weighted graph: fallback edges equal exact sims, sketched ones lie in [-1, 1]") {
-    val g   = GraphGen.erdosRenyi(spark, 80, 600, seed = 28, weighted = true).cache()
+    val g   = GraphGen.denseWeighted(spark, 80, 600, seed = 28).cache()
     val deg = GraphViews.degrees(g).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
     val k   = deg.values.toSeq.sorted.apply(deg.size / 2).toInt // median degree
     val exact  = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Cosine))

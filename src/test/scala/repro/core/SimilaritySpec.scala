@@ -110,7 +110,7 @@ class SimilaritySpec extends SparkSpec {
 
   for ((name, gen) <- Seq(
       "dense-weighted-60" -> (() => GraphGen.denseWeighted(spark, 60, 700, seed = 33)),
-      "weighted-rand"     -> (() => GraphGen.erdosRenyi(spark, 80, 500, seed = 34, weighted = true)))) {
+      "weighted-rand"     -> (() => GraphGen.denseWeighted(spark, 80, 500, seed = 34)))) {
     test(s"weighted cosine sims match the DuckDB oracle on $name") {
       val g = gen()
       Oracle.assertEquivalent(

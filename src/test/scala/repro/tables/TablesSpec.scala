@@ -1,82 +1,83 @@
 package repro.tables
 
 import repro.SparkSpec
+import repro.core.PreparedGraph
+import repro.jobs.Figures
 
-/** Smoke tests for every table harness at "test" scale with reduced
-  * parameter grids and a two-graph subset (one unweighted, one weighted) —
-  * the bench suites run the full configurations.
+/** Every table exactly as `Figures <name> test` runs it: each harness comes
+  * from `Figures`' own list, and a harness without a test here fails.
   */
 class TablesSpec extends SparkSpec {
-
-  private val twoGraphs = Some(Seq("orkut-lite", "vessel-lite"))
 
   private def allPositive(rows: Seq[Seq[String]], col: Int): Unit =
     rows.foreach(r => assert(r(col).toDouble >= 0, s"negative time in row $r"))
 
-  test("Table 2 lists all six graphs with positive sizes") {
-    val t = T2Datasets.run(spark, "test")
-    assert(t.rows.length == 6)
-    assert(t.rows.map(_.head).toSet == Datasets.suite("test").map(_.name).toSet)
-    t.rows.foreach { r =>
-      assert(r(1).toLong > 0 && r(2).toLong > 0)
-      assert(Set("weighted", "unweighted").contains(r(3)))
+  private val checks: Seq[(String, String, TableResult => Unit)] = Seq(
+    ("table2", "Table 2 lists all six graphs with positive sizes", { t =>
+      // The test-scale sizes of the generators and seeds in `Datasets`.
+      assert(t.rows.map(r => (r(0), r(1).toLong, r(2).toLong)) == Seq(
+        ("orkut-lite", 697L, 3299L),
+        ("brain-lite", 256L, 3781L),
+        ("webbase-lite", 971L, 2789L),
+        ("friendster-lite", 757L, 4676L),
+        ("vessel-lite", 100L, 1284L),
+        ("cochlea-lite", 100L, 1963L)))
+      assert(t.rows.map(_(3)) == Seq.fill(4)("unweighted") ++ Seq.fill(2)("weighted"))
+    }),
+    ("fig5", "Figure 5 harness produces timings for every graph", { t =>
+      assert(t.rows.map(_.head) == Datasets.all.map(_.name))
+      allPositive(t.rows, 1); allPositive(t.rows, 2); allPositive(t.rows, 3)
+      // Test-scale graphs are below every grain: the build runs on the driver.
+      assert(t.rows.forall(_(6) == "triangles inline, orders inline"), t.rows.map(_(6)))
+    }),
+    ("fig6", "Figure 6 harness produces a row per (graph, eps)", { t =>
+      assert(t.rows.length == 54) // 6 graphs × 9 eps
+      allPositive(t.rows, 2); allPositive(t.rows, 3); allPositive(t.rows, 4)
+    }),
+    ("fig7", "Figure 7 harness sweeps mu up to the cap", { t =>
+      val expected = Datasets.all.flatMap { bg =>
+        val edges = bg.load(spark, "test")
+        val top   = math.min(16384, Integer.highestOneBit(PreparedGraph.of(edges).value.maxDegree))
+        edges.unpersist()
+        Iterator.iterate(2)(_ * 2).takeWhile(_ <= top).map(mu => (bg.name, mu.toString))
+      }
+      assert(t.rows.map(r => (r(0), r(1))) == expected)
+      assert(t.rows.length == 37)
+      allPositive(t.rows, 2)
+    }),
+    ("fig8", "Figure 8 harness covers cosine everywhere and jaccard on unweighted", { t =>
+      // 4 unweighted graphs × 2 measures × 4 ks + 2 weighted graphs × cosine × 4 ks
+      assert(t.rows.length == 40)
+      assert(t.rows.filter(_(1) == "jaccard").map(_.head).distinct ==
+        Datasets.all.filterNot(_.weighted).map(_.name))
+      allPositive(t.rows, 3); allPositive(t.rows, 4)
+    }),
+    ("fig9", "Figure 9 harness reports exact and per-k modularity rows", { t =>
+      assert(t.rows.length == 12) // 3 graphs × (exact + 3 ks)
+      t.rows.foreach(r => assert(math.abs(r(3).toDouble) <= 1.0))
+    }),
+    ("fig10", "Figure 10 harness reports ARI in [-1, 1]", { t =>
+      assert(t.rows.length == 9) // 3 graphs × 3 ks
+      t.rows.foreach(r => assert(r(4).toDouble >= -1.0 && r(4).toDouble <= 1.0))
+    }))
+
+  test("every Figures harness has a test here") {
+    assert(checks.map(_._1) == Figures.harnesses.map(_._1))
+  }
+
+  for ((name, title, check) <- checks)
+    test(title) {
+      val run = Figures.harnesses.toMap.getOrElse(name, fail(s"Figures has no harness '$name'"))
+      val t   = run(spark, "test")
+      check(t)
+      println(t.render)
     }
-    println(t.render)
-  }
 
-  test("Figure 5 harness produces timings for the selected graphs") {
-    val t = F5Construction.run(spark, "test", trials = 1, graphNames = twoGraphs)
-    assert(t.rows.length == 2)
-    allPositive(t.rows, 1); allPositive(t.rows, 2); allPositive(t.rows, 3)
-    // Test-scale graphs are below every grain: the build runs on the driver.
-    assert(t.rows.forall(_(6) == "triangles inline, orders inline"), t.rows.map(_(6)))
-    println(t.render)
-  }
-
-  test("Figure 6 harness produces a row per (graph, eps)") {
-    val t = F6EpsSweep.run(spark, "test", mu = 2, epsList = Seq(0.5), trials = 1,
-      graphNames = twoGraphs)
-    assert(t.rows.length == 2)
-    allPositive(t.rows, 2); allPositive(t.rows, 3); allPositive(t.rows, 4)
-    println(t.render)
-  }
-
-  test("Figure 7 harness sweeps mu up to the cap") {
-    val t = F7MuSweep.run(spark, "test", eps = 0.6, trials = 1, muCap = 4,
-      graphNames = twoGraphs)
-    assert(t.rows.nonEmpty)
-    t.rows.foreach(r => assert(r(1).toInt >= 2 && r(1).toInt <= 4))
-    allPositive(t.rows, 2)
-    println(t.render)
-  }
-
-  test("Figure 8 harness covers cosine everywhere and jaccard on unweighted") {
-    val t = F8ApproxConstruction.run(spark, "test", ks = Seq(4), trials = 1,
-      graphNames = twoGraphs)
-    // orkut-lite (unweighted): cosine+jaccard; vessel-lite (weighted): cosine
-    assert(t.rows.length == 3)
-    allPositive(t.rows, 3); allPositive(t.rows, 4)
-    println(t.render)
-  }
-
-  test("Figure 9 harness reports exact and per-k modularity rows") {
-    val t = F9Modularity.run(
-      spark, "test",
-      graphNames = Seq("vessel-lite"),
-      ks = Seq(8), mus = Seq(2), epsList = Seq(0.4, 0.6))
-    assert(t.rows.length == 2) // exact + k=8
-    t.rows.foreach(r => assert(math.abs(r(3).toDouble) <= 1.0))
-    println(t.render)
-  }
-
-  test("Figure 10 harness reports ARI in [-1, 1]") {
-    val t = F10Ari.run(
-      spark, "test",
-      graphNames = Seq("vessel-lite"),
-      ks = Seq(8), mus = Seq(2), epsList = Seq(0.4, 0.6))
-    assert(t.rows.length == 1)
-    t.rows.foreach(r => assert(r(4).toDouble >= -1.0 && r(4).toDouble <= 1.0))
-    println(t.render)
+  test("Figures rejects an unknown figure or scale before starting a session") {
+    val sc = spark.sparkContext // the shared session, which `main` must leave running
+    intercept[IllegalArgumentException](Figures.main(Array("table2", "huge")))
+    intercept[IllegalArgumentException](Figures.main(Array("fig11")))
+    assert(!sc.isStopped)
   }
 
   test("TableResult renders an aligned grid") {
