@@ -32,9 +32,10 @@ object Figures {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"figures-$figure")
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+    // One shuffle partition per core, for the program's one shuffle: the
+    // groupBy of `GraphOps.canonicalize`.
+    spark.conf.set("spark.sql.shuffle.partitions", spark.sparkContext.defaultParallelism.toLong)
     try chosen.foreach { case (_, run) => println(run(spark, scale).render) }
     finally spark.stop()
   }

@@ -18,12 +18,6 @@ import repro.core.{EdgeSims, ScanIndex, Similarity}
   */
 object ApproxSimilarity {
 
-  /** The §6.3 degree threshold t for k samples. */
-  private def threshold(measure: Similarity.Measure, k: Int): Long = measure match {
-    case Similarity.Cosine  => k.toLong
-    case Similarity.Jaccard => 3L * k / 2
-  }
-
   /** Build a full approximate SCAN index (Theorem 5.1's pipeline: sketch,
     * estimate, then the same neighbor-order/core-order construction).
     *
@@ -36,5 +30,5 @@ object ApproxSimilarity {
       measure: Similarity.Measure,
       k: Int,
       seed: Long): ScanIndex =
-    ScanIndex.fromEdgeSims(EdgeSims.approx(canonical, measure, k, seed, threshold(measure, k)))
+    ScanIndex.fromEdgeSims(EdgeSims.approx(canonical, measure, k, seed))
 }

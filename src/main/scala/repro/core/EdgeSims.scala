@@ -1,17 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import repro.approx.{MinHashOPH, SimHash}
 import repro.baseline.{SeqGraph, SeqScanIndex}
 import scala.collection.mutable
 
 /** Per-edge similarities by `SeqGraph.eids`, kept on the driver beside
   * their prepared graph (`PreparedGraph`) and, like it, broadcast only
-  * when a task reads them (`Shipped`). A DataFrame read off them runs in
-  * p = defaultParallelism tasks, task i over the vertex stripe
-  * v ≡ i (mod p): §6.1's parallel loop over vertices. `phases` records how
-  * each stripe phase of the computation ran (`Stripes`).
+  * when a stripe task reads them (`Shipped`). `phases` records how each
+  * stripe phase of the computation ran (`Stripes`).
   */
 final class EdgeSims private (
     val spark: SparkSession,
@@ -19,14 +16,15 @@ final class EdgeSims private (
     private[core] val byEdge: Shipped[Array[Double]],
     val phases: Seq[Stripes.Phase]) {
 
-  /** (src, dst, sim) in canonical orientation. */
+  /** (src, dst, sim) in canonical orientation: a local relation built on
+    * the driver from the by-edge array, so reading it runs no job and
+    * ships nothing.
+    */
   def similarities: DataFrame = {
-    val (bg, bs) = (graph, byEdge)
-    bs.value // a released index is refused here, on the driver
-    EdgeSims.rows(spark, bg.value.n, "src LONG, dst LONG, sim DOUBLE") { u =>
-      val (g, sims) = (bg.value, bs.value)
+    val (g, sims) = (graph.value, byEdge.value) // a released index is refused here
+    ScanQuery.local(spark, "src LONG, dst LONG, sim DOUBLE", Array.range(0, g.n).flatMap { u =>
       EdgeSims.upper(g, u).map(k => Row(g.ids(u), g.ids(g.adj(u)(k)), sims(g.eids(u)(k))))
-    }
+    })
   }
 }
 
@@ -62,8 +60,8 @@ object EdgeSims {
   }
 
   /** LSH similarities (§5) on the edges whose endpoints both have degree
-    * above `t`, exact ones elsewhere (§6.3), over the prepared graph in two
-    * stripe phases (`Stripes`):
+    * above the §6.3 threshold t (`threshold`), exact ones elsewhere, over
+    * the prepared graph in two stripe phases (`Stripes`):
     *
     * 1. "sketch": sketch each vertex above t that has a neighbor above t —
     *    SimHash for cosine, one-permutation MinHash for Jaccard; the bound
@@ -75,9 +73,10 @@ object EdgeSims {
     *    deg(u) + deg(v) per merge. Each stripe returns its edge ids and
     *    similarities as two primitive arrays.
     */
-  def approx(canonical: DataFrame, measure: Similarity.Measure, k: Int, seed: Long, t: Long): EdgeSims = {
+  def approx(canonical: DataFrame, measure: Similarity.Measure, k: Int, seed: Long): EdgeSims = {
     val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
     val (sc, g, p)  = (spark.sparkContext, bg.value, spark.sparkContext.defaultParallelism)
+    val t           = threshold(measure, k)
     val (sketch, estimate): ((SeqGraph, Int) => Array[Long], (Array[Long], Array[Long]) => Double) = measure match {
       case Similarity.Cosine  => (SimHash.sketch(_, _, k, seed), SimHash.estimate(_, _, k))
       case Similarity.Jaccard => (MinHashOPH.sketch(_, _, k, seed), MinHashOPH.estimate)
@@ -108,17 +107,27 @@ object EdgeSims {
     new EdgeSims(spark, bg, new Shipped(sc, "the similarities", sims), Seq(sketchPhase, estimatePhase))
   }
 
+  /** The §6.3 degree threshold t for k samples. */
+  private def threshold(measure: Similarity.Measure, k: Int): Long = measure match {
+    case Similarity.Cosine  => k.toLong
+    case Similarity.Jaccard => 3L * k / 2
+  }
+
   /** Given (src, dst, sim) for every edge, e.g. approximate ones: collect
-    * the similarities by edge id of the prepared graph.
+    * the similarities by edge id of the prepared graph. A similarity that
+    * is NaN or infinite is refused, naming its edge: NO would sort a NaN
+    * first and hide every ε-neighbor behind it.
     */
   def collect(canonical: DataFrame, simsDf: DataFrame): EdgeSims = {
     val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
     val g = bg.value
     val (sims, seen) = (new Array[Double](g.numEdges.toInt), new java.util.BitSet)
     simsDf.select("src", "dst", "sim").collect().foreach { r =>
-      val e = eidOf(g, r.getLong(0), r.getLong(1))
-      require(!seen.get(e), s"similarities: (${r.getLong(0)}, ${r.getLong(1)}) repeats")
-      seen.set(e); sims(e) = r.getDouble(2)
+      val (src, dst, sim) = (r.getLong(0), r.getLong(1), r.getDouble(2))
+      val e = eidOf(g, src, dst)
+      require(!seen.get(e), s"similarities: ($src, $dst) repeats")
+      require(java.lang.Double.isFinite(sim), s"similarities: edge ($src, $dst) has similarity $sim; similarities must be finite")
+      seen.set(e); sims(e) = sim
     }
     require(seen.cardinality == sims.length, "similarities: some edge has no similarity")
     new EdgeSims(spark, bg, new Shipped(spark.sparkContext, "the similarities", sims), Seq.empty)
@@ -135,13 +144,4 @@ object EdgeSims {
 
   /** §6.3: v is sketched if its degree and a neighbor's are above t. */
   private def sketched(g: SeqGraph, t: Long, v: Int): Boolean = g.degree(v) > t && g.adj(v).exists(g.degree(_) > t)
-
-  /** The rows f gives for 0 until n, task i over x ≡ i (mod p). A
-    * Dataset serializes f only when an action runs, so a view whose values
-    * are `Shipped` broadcasts them only when it is read.
-    */
-  private[core] def rows(spark: SparkSession, n: Int, schema: String)(f: Int => Iterator[Row]): DataFrame = {
-    val p = spark.sparkContext.defaultParallelism
-    spark.range(0, p, 1, p).flatMap((i: java.lang.Long) => Iterator.range(i.toInt, n, p).flatMap(f))(Encoders.row(StructType.fromDDL(schema)))
-  }
 }

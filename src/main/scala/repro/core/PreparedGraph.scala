@@ -8,7 +8,7 @@ import repro.baseline.SeqGraph
   * every operator on that DataFrame — the exact and approximate builds,
   * ppSCAN-like's per-edge similarities, the hub/outlier query, modularity
   * and ARI — as GBBS loads its CSR once for every algorithm. Like every
-  * other driver value, it is broadcast only when a task or a view first
+  * other driver value, it is broadcast only when a stripe task first
   * reads it (`Shipped`), so a phase that runs on the driver ships nothing.
   *
   * Graphs are keyed by the DataFrame object: `Dataset` does not override

@@ -1,12 +1,12 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baseline.{IndexLayout, SeqGraph, SeqScanIndex}
 
 /** The GS*-Index structure (§3.2 / §4.1, Algorithm 2): NO and CO as arrays
   * (`IndexLayout`), built by the build and kept on the driver as `layout`,
   * which every index query reads beside the prepared graph (`graph`). The
-  * layout, like the similarities, is broadcast only when a task or a view
+  * layout, like the similarities, is broadcast only when a stripe task
   * first reads it (`Shipped`).
   *
   * - NO[v]: v's neighbors by descending similarity, ties by ascending id.
@@ -17,10 +17,8 @@ import repro.baseline.{IndexLayout, SeqGraph, SeqScanIndex}
   *   ≥ ε. Size Σ_v deg(v) = 2m, the paper's index-space bound.
   *
   * The ε-similar neighbors of v are a prefix of NO[v], and the
-  * (μ, ε)-cores a prefix of CO[μ]. The DataFrames below are uncached views
-  * of the arrays, for tests and checks: `neighborOrder` (v, rank, nbr, sim)
-  * with rank 2..deg+1, written by vertex stripes, and `coreOrder` (mu,
-  * coreRank, v, threshold) with coreRank from 1, written by μ stripes.
+  * (μ, ε)-cores a prefix of CO[μ]; GetCores and the ε-prefix walk read
+  * the arrays directly, and so do tests.
   */
 final class ScanIndex private (
     edgeSims: EdgeSims,
@@ -44,24 +42,10 @@ final class ScanIndex private (
     */
   val phases: Seq[Stripes.Phase] = edgeSims.phases :+ orders
 
-  /** (src, dst, sim): the DataFrame given to `fromSimilarities`, else a view. */
+  /** (src, dst, sim): the DataFrame given to `fromSimilarities`, else a
+    * local relation built on the driver (`EdgeSims.similarities`).
+    */
   def similarities: DataFrame = kept.getOrElse(edgeSims.similarities)
-
-  def neighborOrder: DataFrame = {
-    val (bl, bg) = (layout, graph)
-    EdgeSims.rows(spark, bl.value.noNbr.length, "v LONG, rank INT, nbr LONG, sim DOUBLE") { v =>
-      val (ix, g) = (bl.value, bg.value)
-      ix.noNbr(v).indices.iterator.map(i => Row(g.ids(v), i + 2, g.ids(ix.noNbr(v)(i)), ix.noSim(v)(i)))
-    }
-  }
-
-  def coreOrder: DataFrame = {
-    val (bl, bg) = (layout, graph)
-    EdgeSims.rows(spark, bl.value.maxMu + 1, "mu INT, coreRank INT, v LONG, threshold DOUBLE") { mu =>
-      val (ix, g) = (bl.value, bg.value)
-      ix.coVert(mu).indices.iterator.map(j => Row(mu, j + 1, g.ids(ix.coVert(mu)(j)), ix.coThresh(mu)(j)))
-    }
-  }
 
   /** A no-op: the build leaves the index in memory, as driver arrays. */
   def cache(): ScanIndex = this
@@ -70,10 +54,10 @@ final class ScanIndex private (
   def materialize(): ScanIndex = this
 
   /** Release the index: drop its similarities and layout, destroying the
-    * broadcast of each that a task or a view read, and unpersist the
+    * broadcast of each that a stripe task read, and unpersist the
     * DataFrame `fromSimilarities` kept; the prepared graph stays. A later
-    * query, or a view of the similarities or the layout, is refused on the
-    * driver with an `IllegalStateException`.
+    * query, or a read of the similarities, is refused on the driver with an
+    * `IllegalStateException`.
     */
   def unpersist(): Unit = {
     kept.foreach(_.unpersist())

@@ -28,7 +28,8 @@ object Similarity {
     * prepared graph's degree-directed CSR, in vertex stripes (`EdgeSims`).
     * Each triangle is found exactly once and contributes to its three edges.
     *
-    * Returns (src, dst, sim) in canonical orientation.
+    * Returns (src, dst, sim) in canonical orientation, a local relation
+    * built on the driver.
     */
   def similarities(canonical: DataFrame, measure: Measure): DataFrame =
     EdgeSims.exact(canonical, measure).similarities

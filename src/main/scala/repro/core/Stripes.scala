@@ -67,16 +67,19 @@ object Stripes {
   private[repro] def run[T: ClassTag](sc: SparkContext, phase: Phase, p: Int)(f: (Int, Int) => T): Seq[T] =
     if (phase.inline) Seq(f(0, 1)) else tasks(sc, p)(f)
 
-  /** f(0, p), ..., f(p − 1, p) in one job of p tasks; no job when p = 0. */
+  /** f(0, p), ..., f(p − 1, p) in one job of p tasks; no job when p = 0.
+    * Apart from reading its input DataFrames, the program starts Spark
+    * jobs only here.
+    */
   private[repro] def tasks[T: ClassTag](sc: SparkContext, p: Int)(f: (Int, Int) => T): Seq[T] =
     if (p == 0) Seq.empty else sc.parallelize(0 until p, p).map(f(_, p)).collect().toSeq
 }
 
 /** A driver value that Spark tasks read through a broadcast, made the first
-  * time a closure holding it is serialized, i.e. when a task or a view
-  * first reads it, so a phase that runs on the driver broadcasts nothing.
-  * `value` is the driver's object on the driver and the broadcast's value
-  * in a task.
+  * time a closure holding it is serialized. Only a stripe task's closure
+  * (`Stripes.tasks`) holds one, so a phase that runs on the driver, and
+  * every read on the driver, broadcasts nothing. `value` is the driver's
+  * object on the driver and the broadcast's value in a task.
   *
   * `release` destroys the broadcast if one was made and drops the value;
   * from then on reading it, on the driver or in a task, is refused.
@@ -95,7 +98,7 @@ final class Shipped[A <: AnyRef: ClassTag](@transient private val sc: SparkConte
     else throw new IllegalStateException(refusal)
   }
 
-  /** The broadcast's id, once a task or a view has read the value. */
+  /** The broadcast's id, once a stripe task has read the value. */
   def broadcastId: Option[Long] = Option(shipped).map(_.id)
 
   def release(): Unit = synchronized {

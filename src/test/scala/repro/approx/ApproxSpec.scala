@@ -4,16 +4,28 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
 import repro.baseline.SeqGraph
-import repro.core.{EdgeSims, ScanIndex, ScanQuery, Similarity, Stripes}
+import repro.core.{PreparedGraph, ScanIndex, ScanQuery, Similarity, Stripes}
 import repro.graph.{GraphGen, GraphViews}
 
 class ApproxSpec extends SparkSpec {
 
-  /** Pure-LSH similarities for every edge, no heuristic (t = −1): the
-    * theorem-accuracy tests speak to the raw estimator (Theorems 5.2/5.3).
+  /** Pure-LSH similarities for every edge, no heuristic: every vertex is
+    * sketched and every edge estimated, straight from SimHash or MinHash
+    * over the prepared graph, so the theorem-accuracy tests speak to the
+    * raw estimator (Theorems 5.2/5.3). Keyed by canonical (src, dst).
     */
-  private def lsh(g: DataFrame, measure: Similarity.Measure, k: Int, seed: Long): DataFrame =
-    EdgeSims.approx(g, measure, k, seed, t = -1).similarities
+  private def lsh(g: DataFrame, measure: Similarity.Measure, k: Int, seed: Long): Map[(Long, Long), Double] = {
+    val sg = PreparedGraph.of(g).value
+    val estimate: (Int, Int) => Double = measure match {
+      case Similarity.Cosine =>
+        val sk = Array.tabulate(sg.n)(SimHash.sketch(sg, _, k, seed))
+        (u, v) => SimHash.estimate(sk(u), sk(v), k)
+      case Similarity.Jaccard =>
+        val sk = Array.tabulate(sg.n)(MinHashOPH.sketch(sg, _, k, seed))
+        (u, v) => MinHashOPH.estimate(sk(u), sk(v))
+    }
+    sg.edges.map { case (u, v, _) => (sg.ids(u), sg.ids(v)) -> estimate(u, v) }.toMap
+  }
 
   /** The approximate index's similarities, with the §6.3 heuristic. */
   private def heuristic(g: DataFrame, measure: Similarity.Measure, k: Int, seed: Long): DataFrame =
@@ -25,13 +37,13 @@ class ApproxSpec extends SparkSpec {
     val g  = GraphGen.erdosRenyi(spark, 60, 400, seed = 1)
     val a  = lsh(g, Similarity.Cosine, 64, seed = 5)
     val b  = lsh(g, Similarity.Cosine, 64, seed = 5)
-    TestUtil.assertSimsEqual(TestUtil.simsToMap(a), TestUtil.simsToMap(b), 0.0)
+    TestUtil.assertSimsEqual(a, b, 0.0)
   }
 
   test("SimHash estimates differ across seeds") {
     val g = GraphGen.erdosRenyi(spark, 60, 400, seed = 1)
-    val a = TestUtil.simsToMap(lsh(g, Similarity.Cosine, 32, seed = 5))
-    val b = TestUtil.simsToMap(lsh(g, Similarity.Cosine, 32, seed = 6))
+    val a = lsh(g, Similarity.Cosine, 32, seed = 5)
+    val b = lsh(g, Similarity.Cosine, 32, seed = 6)
     assert(a != b)
   }
 
@@ -44,7 +56,7 @@ class ApproxSpec extends SparkSpec {
   test("SimHash estimate of identical neighborhoods is 1 (twins in K3)") {
     // In K3 all closed neighborhoods are equal → identical sketches → cos(0)=1.
     val g = GraphGen.complete(spark, 3)
-    val s = TestUtil.simsToMap(lsh(g, Similarity.Cosine, 64, seed = 3))
+    val s = lsh(g, Similarity.Cosine, 64, seed = 3)
     s.values.foreach(v => assert(math.abs(v - 1.0) < 1e-12))
   }
 
@@ -57,7 +69,7 @@ class ApproxSpec extends SparkSpec {
     val kMin = math.ceil(math.Pi * math.Pi * math.log(n * m) / (2 * delta * delta)).toInt
     val k = Integer.highestOneBit(kMin) * 2 // round up to a power of two
     val exact  = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Cosine))
-    val approx = TestUtil.simsToMap(lsh(g, Similarity.Cosine, k, seed = 7))
+    val approx = lsh(g, Similarity.Cosine, k, seed = 7)
     val lo = eps - delta
     val hi = eps + math.sqrt(1 - eps * eps) * delta
     exact.foreach { case (e, s) =>
@@ -70,20 +82,20 @@ class ApproxSpec extends SparkSpec {
 
   test("MinHash OPH sketches are deterministic in the seed") {
     val g = GraphGen.erdosRenyi(spark, 60, 400, seed = 11)
-    val a = TestUtil.simsToMap(lsh(g, Similarity.Jaccard, 32, seed = 5))
-    val b = TestUtil.simsToMap(lsh(g, Similarity.Jaccard, 32, seed = 5))
+    val a = lsh(g, Similarity.Jaccard, 32, seed = 5)
+    val b = lsh(g, Similarity.Jaccard, 32, seed = 5)
     assert(a == b)
   }
 
   test("MinHash estimate of identical sets is 1 (twins in K4)") {
     val g = GraphGen.complete(spark, 4)
-    val s = TestUtil.simsToMap(lsh(g, Similarity.Jaccard, 64, seed = 13))
+    val s = lsh(g, Similarity.Jaccard, 64, seed = 13)
     s.values.foreach(v => assert(v == 1.0))
   }
 
   test("MinHash estimates are within [0, 1]") {
     val g = GraphGen.rmat(spark, 8, 700, seed = 14)
-    val s = TestUtil.simsToMap(lsh(g, Similarity.Jaccard, 16, seed = 15))
+    val s = lsh(g, Similarity.Jaccard, 16, seed = 15)
     s.values.foreach(v => assert(v >= 0.0 && v <= 1.0))
   }
 
@@ -98,7 +110,7 @@ class ApproxSpec extends SparkSpec {
     // not formally covering OPH.
     val k = math.max(256, math.ceil(math.log(n * m) / (2 * delta * delta)).toInt)
     val exact  = TestUtil.simsToMap(Similarity.similarities(g, Similarity.Jaccard))
-    val approx = TestUtil.simsToMap(lsh(g, Similarity.Jaccard, k, seed = 17))
+    val approx = lsh(g, Similarity.Jaccard, k, seed = 17)
     var bad = 0
     exact.foreach { case (e, s) =>
       if (s <= eps - delta && !(approx(e) < eps)) bad += 1
@@ -213,10 +225,13 @@ class ApproxSpec extends SparkSpec {
   test("approximate index neighbor order is still rank-contiguous") {
     val g   = GraphGen.denseWeighted(spark, 50, 600, seed = 35)
     val idx = ApproxSimilarity.buildIndex(g, Similarity.Cosine, 16, seed = 36)
-    val bad = idx.neighborOrder
-      .groupBy("v")
-      .agg(min("rank").as("lo"), count(lit(1)).as("c"), max("rank").as("hi"))
-      .filter(col("lo") =!= 2 || col("hi") =!= col("c") + 1)
-    assert(bad.count() == 0)
+    val (ix, sg) = (idx.layout.value, SeqGraph.fromDataFrame(g))
+    // NO[v] holds ranks 2..deg+1 in slots 0..deg−1: one per neighbor of v.
+    assert(ix.noNbr.length == sg.n && ix.noSim.length == sg.n)
+    for (v <- 0 until sg.n) {
+      assert(ix.noNbr(v).sorted.sameElements(sg.adj(v)), s"NO[${sg.ids(v)}] neighbors")
+      assert(ix.noSim(v).length == sg.degree(v), s"NO[${sg.ids(v)}] similarities")
+    }
+    idx.unpersist()
   }
 }

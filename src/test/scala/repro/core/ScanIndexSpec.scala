@@ -1,79 +1,79 @@
 package repro.core
 
 import java.io.{ObjectOutputStream, OutputStream}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.approx.ApproxSimilarity
-import repro.baseline.{SeqGraph, SeqScanIndex}
+import repro.baseline.{IndexLayout, SeqGraph, SeqScanIndex}
 import repro.graph.{GraphGen, GraphOps, GraphViews}
+import repro.quality.Modularity
 
 class ScanIndexSpec extends SparkSpec {
 
   private lazy val g     = GraphGen.rmat(spark, 9, 2000, seed = 61).cache()
   private lazy val index = ScanIndex.build(g, Similarity.Cosine).cache()
 
+  /** The index's arrays and, collected apart from it, the graph whose
+    * dense ids they use.
+    */
+  private lazy val ix = index.layout.value
+  private lazy val sg = SeqGraph.fromDataFrame(g)
+
+  /** CO as (μ, v's id) → v's threshold at μ. */
+  private def thresholds(ix: IndexLayout, ids: Array[Long]): Map[(Int, Long), Double] =
+    (for (mu <- 2 to ix.maxMu; j <- ix.coVert(mu).indices) yield (mu, ids(ix.coVert(mu)(j))) -> ix.coThresh(mu)(j)).toMap
+
   test("neighbor order ranks are contiguous 2..deg+1 per vertex") {
-    val bad = index.neighborOrder
-      .groupBy("v")
-      .agg(min("rank").as("lo"), max("rank").as("hi"), count(lit(1)).as("c"))
-      .join(GraphViews.degrees(g), Seq("v"))
-      .filter(col("lo") =!= 2 || col("hi") =!= col("deg") + 1 || col("c") =!= col("deg"))
-    assert(bad.count() == 0)
+    // Slot i of NO[v] holds rank i + 2, so ranks 2..deg+1 are deg(v) slots.
+    assert(ix.noNbr.length == sg.n && ix.noSim.length == sg.n)
+    for (v <- 0 until sg.n)
+      assert(ix.noNbr(v).length == sg.degree(v) && ix.noSim(v).length == sg.degree(v), s"NO[${sg.ids(v)}]")
   }
 
   test("neighbor order sims are non-increasing in rank") {
-    val no = index.neighborOrder
-    val bad = no.as("a")
-      .join(no.as("b"), col("a.v") === col("b.v") && col("a.rank") + 1 === col("b.rank"))
-      .filter(col("a.sim") < col("b.sim"))
-    assert(bad.count() == 0)
+    for (v <- 0 until sg.n; i <- 1 until ix.noSim(v).length)
+      assert(ix.noSim(v)(i - 1) >= ix.noSim(v)(i), s"NO[${sg.ids(v)}] at rank ${i + 2}")
   }
 
   test("neighbor order ties broken by ascending neighbor id") {
-    val no = index.neighborOrder
-    val bad = no.as("a")
-      .join(no.as("b"), col("a.v") === col("b.v") && col("a.rank") + 1 === col("b.rank"))
-      .filter(col("a.sim") === col("b.sim") && col("a.nbr") > col("b.nbr"))
-    assert(bad.count() == 0)
+    for (v <- 0 until sg.n; i <- 1 until ix.noSim(v).length if ix.noSim(v)(i - 1) == ix.noSim(v)(i))
+      assert(sg.ids(ix.noNbr(v)(i - 1)) < sg.ids(ix.noNbr(v)(i)), s"NO[${sg.ids(v)}] at rank ${i + 2}")
   }
 
   test("neighbor order contains each symmetric edge exactly once") {
-    assert(index.neighborOrder.count() == 2 * g.count())
-    val dup = index.neighborOrder.groupBy("v", "nbr").count().filter(col("count") > 1)
-    assert(dup.count() == 0)
+    assert(ix.noNbr.map(_.length.toLong).sum == 2 * sg.numEdges)
+    for (v <- 0 until sg.n) assert(ix.noNbr(v).sorted.sameElements(sg.adj(v)), s"NO[${sg.ids(v)}]")
   }
 
   test("core order has one row per (vertex, mu) with |N̄(v)| >= mu") {
-    // Row count = Σ_v deg(v) (mu ranges 2..deg+1).
-    val expected = GraphViews.degrees(g).agg(sum("deg")).collect()(0).getLong(0)
-    assert(index.coreOrder.count() == expected)
+    // Σ_v deg(v) entries in all, as mu ranges 2..deg+1 for each v.
+    assert(ix.coVert.map(_.length.toLong).sum == 2 * sg.numEdges)
+    for (mu <- 0 to ix.maxMu) {
+      val expected = (0 until sg.n).filter(v => mu >= 2 && sg.degree(v) + 1 >= mu)
+      assert(ix.coVert(mu).sorted.sameElements(expected) && ix.coThresh(mu).length == expected.length, s"CO[$mu]")
+    }
   }
 
   test("core order thresholds equal the NO sim at rank = mu") {
-    val joined = index.coreOrder
-      .join(
-        index.neighborOrder.select(col("v"), col("rank").as("mu"), col("sim")),
-        Seq("v", "mu"))
-      .filter(col("threshold") =!= col("sim"))
-    assert(joined.count() == 0)
+    for (mu <- 2 to ix.maxMu; j <- ix.coVert(mu).indices) {
+      val v = ix.coVert(mu)(j)
+      assert(java.lang.Double.compare(ix.coThresh(mu)(j), ix.noSim(v)(mu - 2)) == 0, s"CO[$mu] at ${sg.ids(v)}")
+    }
   }
 
   test("core order is sorted by descending threshold within each mu") {
-    val co = index.coreOrder
-    val bad = co.as("a")
-      .join(co.as("b"), col("a.mu") === col("b.mu") && col("a.coreRank") + 1 === col("b.coreRank"))
-      .filter(col("a.threshold") < col("b.threshold"))
-    assert(bad.count() == 0)
+    for (mu <- 2 to ix.maxMu; j <- 1 until ix.coVert(mu).length) {
+      val (s, t) = (ix.coThresh(mu)(j - 1), ix.coThresh(mu)(j))
+      assert(s > t || s == t && sg.ids(ix.coVert(mu)(j - 1)) < sg.ids(ix.coVert(mu)(j)), s"CO[$mu] at core rank ${j + 1}")
+    }
   }
 
   test("core thresholds are non-increasing in mu for a fixed vertex") {
-    val co = index.coreOrder
-    val bad = co.as("a")
-      .join(co.as("b"), col("a.v") === col("b.v") && col("a.mu") + 1 === col("b.mu"))
-      .filter(col("a.threshold") < col("b.threshold"))
-    assert(bad.count() == 0)
+    val t = thresholds(ix, sg.ids)
+    for (v <- sg.ids; mu <- 2 until ix.maxMu if t.contains((mu + 1, v)))
+      assert(t((mu, v)) >= t((mu + 1, v)), s"vertex $v at mu $mu")
   }
 
   test("maxMu equals the maximum closed degree") {
@@ -93,11 +93,7 @@ class ScanIndexSpec extends SparkSpec {
   test("index on the figureLike graph: core thresholds for vertex 0") {
     val idx = ScanIndex.build(GraphGen.figureLike(spark), Similarity.Cosine)
     // NO[0] (closed): rank1=self, then 1,2,3 (sim .894), then 8 (.447).
-    val t = idx.coreOrder
-      .filter(col("v") === 0)
-      .collect()
-      .map(r => r.getAs[Int]("mu") -> r.getAs[Double]("threshold"))
-      .toMap
+    val t = thresholds(idx.layout.value, idx.graph.value.ids).collect { case ((mu, 0L), s) => mu -> s }
     assert(math.abs(t(2) - 4.0 / math.sqrt(20.0)) < 1e-12)
     assert(math.abs(t(4) - 4.0 / math.sqrt(20.0)) < 1e-12)
     assert(math.abs(t(5) - 2.0 / math.sqrt(20.0)) < 1e-12)
@@ -124,28 +120,26 @@ class ScanIndexSpec extends SparkSpec {
 
   // ------------------------------------------- Spark index vs buildOpt --
 
-  /** The Spark index's NO and CO equal the sequential index's arrays:
-    * neighbors and order exactly, similarities within `tol`.
+  /** The Spark index's NO and CO equal the sequential index's arrays over
+    * the same vertex ids: neighbors and order exactly, similarities within
+    * `tol`.
     */
   private def assertSameIndex(idx: ScanIndex, seq: SeqScanIndex, tol: Double): Unit = {
-    val g = seq.g
-    def same(a: Double, b: Double) =
-      if (tol == 0.0) java.lang.Double.compare(a, b) == 0 else math.abs(a - b) <= tol
-    val no = idx.neighborOrder.collect().map(r => (r.getLong(0), r.getInt(1)) -> (r.getLong(2), r.getDouble(3))).toMap
-    val seqNo = for (v <- 0 until g.n; i <- seq.noNbr(v).indices)
-      yield (g.ids(v), i + 2) -> (g.ids(seq.noNbr(v)(i)), seq.noSim(v)(i))
-    assert(no.size == seqNo.size)
-    seqNo.foreach { case (k, (nbr, sim)) =>
-      assert(no.get(k).exists { case (n2, s2) => n2 == nbr && same(s2, sim) }, s"NO at $k: ${no.get(k)} vs ($nbr, $sim)")
+    val (ix, g) = (idx.layout.value, seq.g)
+    def same(a: Array[Double], b: Array[Double]) = a.length == b.length && a.indices.forall { i =>
+      if (tol == 0.0) java.lang.Double.compare(a(i), b(i)) == 0 else math.abs(a(i) - b(i)) <= tol
     }
-    val co = idx.coreOrder.collect().map(r => (r.getInt(0), r.getInt(1)) -> (r.getLong(2), r.getDouble(3))).toMap
-    val seqCo = for (mu <- 2 to seq.maxMu; i <- seq.coVert(mu).indices)
-      yield (mu, i + 1) -> (g.ids(seq.coVert(mu)(i)), seq.coThresh(mu)(i))
-    assert(co.size == seqCo.size)
-    seqCo.foreach { case (k, (v, t)) =>
-      assert(co.get(k).exists { case (v2, t2) => v2 == v && same(t2, t) }, s"CO at $k: ${co.get(k)} vs ($v, $t)")
+    assert(idx.graph.value.ids.sameElements(g.ids))
+    assert(ix.noNbr.length == g.n && ix.noSim.length == g.n)
+    for (v <- 0 until g.n) {
+      assert(ix.noNbr(v).sameElements(seq.noNbr(v)), s"NO[${g.ids(v)}] neighbors")
+      assert(same(ix.noSim(v), seq.noSim(v)), s"NO[${g.ids(v)}]: ${ix.noSim(v).mkString(", ")} vs ${seq.noSim(v).mkString(", ")}")
     }
-    assert(idx.maxMu == math.max(seq.maxMu, 1))
+    assert(idx.maxMu == math.max(seq.maxMu, 1) && ix.coVert.take(2).forall(_.isEmpty))
+    for (mu <- 2 to seq.maxMu) {
+      assert(ix.coVert(mu).sameElements(seq.coVert(mu)), s"CO[$mu] vertices")
+      assert(same(ix.coThresh(mu), seq.coThresh(mu)), s"CO[$mu]: ${ix.coThresh(mu).mkString(", ")} vs ${seq.coThresh(mu).mkString(", ")}")
+    }
   }
 
   /** On both build paths (`TestUtil.stripePaths`): the Spark index equals
@@ -184,14 +178,15 @@ class ScanIndexSpec extends SparkSpec {
   test("Spark index on a one-edge graph and on a graph without triangles") {
     val one = GraphGen.fromEdges(spark, Seq((5L, 9L)))
     assertBuildMatchesBuildOpt(one)
-    assert(ScanIndex.build(one, Similarity.Cosine).neighborOrder.collect().map(_.getDouble(3)).toSeq == Seq(1.0, 1.0))
+    assert(ScanIndex.build(one, Similarity.Cosine).layout.value.noSim.flatten.toSeq == Seq(1.0, 1.0))
     // A tree: every dot is 2, so sims come from the norms alone.
     assertBuildMatchesBuildOpt(GraphGen.fromEdges(spark, Seq((0L, 1L), (0L, 2L), (0L, 3L), (3L, 4L), (4L, 5L), (4L, 6L))))
   }
 
   test("an empty graph gives an empty index with maxMu 1") {
     val idx = ScanIndex.build(GraphGen.fromEdges(spark, Seq.empty), Similarity.Cosine)
-    assert(idx.neighborOrder.count() == 0 && idx.coreOrder.count() == 0 && idx.similarities.count() == 0)
+    val ix  = idx.layout.value
+    assert(ix.noNbr.isEmpty && ix.coVert.forall(_.isEmpty) && idx.similarities.collect().isEmpty)
     assert(idx.maxMu == 1)
   }
 
@@ -270,13 +265,26 @@ class ScanIndexSpec extends SparkSpec {
     assert(e.getMessage.contains("no similarity"))
   }
 
+  // A NaN would sort first in NO and CO, where GetCores's doubling search
+  // stops at it: the index would find no cores at all.
+  test("fromSimilarities rejects a NaN or infinite similarity, naming the edge") {
+    val fig  = GraphGen.figureLike(spark)
+    val sims = Similarity.similarities(fig, Similarity.Cosine)
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val poisoned = sims.withColumn("sim", when(col("src") === 0 && col("dst") === 1, lit(bad)).otherwise(col("sim")))
+      val e = intercept[IllegalArgumentException](ScanIndex.fromSimilarities(fig, poisoned))
+      assert(e.getMessage.contains(s"edge (0, 1) has similarity $bad"), e.getMessage)
+      poisoned.unpersist()
+    }
+  }
+
   // ------------------------------------------------------ cache handling --
 
   test("unpersist leaves a graph the caller cached cached") {
     val mine = GraphGen.rmat(spark, 7, 500, seed = 64).cache()
     mine.count()
     val idx = ScanIndex.build(mine, Similarity.Cosine).cache().materialize()
-    val view = idx.neighborOrder // a released index refuses new views
+    val view = idx.similarities // a released index refuses new reads
     idx.unpersist()
     assert(mine.storageLevel != StorageLevel.NONE)
     assert(view.storageLevel == StorageLevel.NONE)
@@ -340,7 +348,7 @@ class ScanIndexSpec extends SparkSpec {
     assert(id.exists(TestUtil.broadcastIds(spark).contains), s"layout broadcast $id")
     TestUtil.cluster(idx, 3, 0.5, Some(0L)).collect()
     assert(idx.layout.broadcastId == id)
-    // A view of the similarities ships them; the layout keeps its broadcast.
+    // Reading the similarities ships nothing; the layout keeps its broadcast.
     assert(idx.similarities.count() == graph.count() && idx.layout.broadcastId == id)
     idx.unpersist()
     val deadline = System.nanoTime() + 10000000000L
@@ -353,19 +361,17 @@ class ScanIndexSpec extends SparkSpec {
     val graph = GraphGen.rmat(spark, 8, 900, seed = 67).cache()
     val idx = ScanIndex.build(graph, Similarity.Cosine)
     idx.unpersist()
-    // A released index refuses to be read, on the driver, in tasks or
-    // through a view, and broadcasts nothing again. A view is refused on
-    // the driver, before Spark serializes a task.
+    // A released index refuses to be read, on the driver or in tasks, and
+    // broadcasts nothing again. A query in tasks is refused on the driver,
+    // before Spark serializes a task.
     val before = TestUtil.broadcastIds(spark)
     val refused = Seq(
       intercept[IllegalStateException](idx.layout.value),
       intercept[IllegalStateException](ScanQuery.cluster(idx, 3, 0.5)),
       intercept[IllegalStateException](TestUtil.cluster(idx, 3, 0.5, Some(0L))),
-      intercept[IllegalStateException](idx.similarities.collect()),
-      intercept[IllegalStateException](idx.neighborOrder.collect()),
-      intercept[IllegalStateException](idx.coreOrder.collect())).map(_.getMessage)
+      intercept[IllegalStateException](idx.similarities.collect())).map(_.getMessage)
     refused.foreach(m => assert(m.contains("released by unpersist"), m))
-    assert(refused(3).contains("the similarities: released") && refused.drop(4).forall(_.contains("the index layout: released")), refused)
+    assert(refused.head.contains("the index layout: released") && refused(3).contains("the similarities: released"), refused)
     assert((TestUtil.broadcastIds(spark) -- before).isEmpty)
     var again: ScanIndex = null
     val jobs = TestUtil.sparkJobs(spark) { again = ScanIndex.build(graph, Similarity.Cosine) }
@@ -373,6 +379,41 @@ class ScanIndexSpec extends SparkSpec {
     val seq = SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(graph), Similarity.Cosine)
     assert(TestUtil.clustersToMap(ScanQuery.cluster(again, 3, 0.5)) == seq.cluster(3, 0.5))
     again.unpersist(); graph.unpersist()
+  }
+
+  // The similarities are a local relation built on the driver: on both
+  // build paths, reading them runs no job and ships neither the prepared
+  // graph nor the similarities.
+  for ((path, grain) <- TestUtil.stripePaths) {
+    test(s"reading the similarities of an index and of Similarity.similarities runs no Spark job and broadcasts nothing$path") {
+      val graph = GraphGen.rmat(spark, 8, 900, seed = 74).cache()
+      val idx   = TestUtil.onPath(grain)(ScanIndex.build(graph, Similarity.Cosine))
+      val sims  = TestUtil.onPath(grain)(Similarity.similarities(graph, Similarity.Cosine))
+      val before = TestUtil.valueBroadcastIds(spark)
+      var rows   = Seq.empty[Array[Row]]
+      val jobs   = TestUtil.sparkJobs(spark) { rows = Seq(idx.similarities.collect(), sims.collect()) }
+      val made   = TestUtil.valueBroadcastIds(spark) -- before
+      assert(jobs == 0, s"$jobs Spark jobs")
+      assert(made.isEmpty, s"broadcasts $made")
+      assert(rows.map(_.length.toLong) == Seq.fill(2)(graph.count()))
+      idx.unpersist(); graph.unpersist()
+    }
+  }
+
+  // Below the grains every step runs on the driver, so none ships a value.
+  test("after a driver build, a query, its roles, modularity and a similarities read create no value broadcast") {
+    val graph = GraphGen.rmat(spark, 8, 900, seed = 75).cache()
+    graph.count()
+    val before = TestUtil.valueBroadcastIds(spark)
+    val idx    = ScanIndex.build(graph, Similarity.Cosine)
+    val cl     = ScanQuery.cluster(idx, 3, 0.5)
+    ScanQuery.hubsAndOutliers(graph, cl).collect()
+    Modularity.modularity(graph, cl)
+    idx.similarities.collect()
+    val made = TestUtil.valueBroadcastIds(spark) -- before
+    assert(idx.phases.forall(_.inline) && ScanQuery.phase(cl).exists(_.inline), s"${idx.phases} / ${ScanQuery.phase(cl)}")
+    assert(made.isEmpty, s"broadcasts $made")
+    idx.unpersist(); graph.unpersist()
   }
 
   test("the driver sum of the triangle arrays is bounded by the heap") {
