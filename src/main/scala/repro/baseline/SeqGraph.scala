@@ -91,9 +91,12 @@ final class SeqGraph(
 
 object SeqGraph {
 
-  /** Collect a canonical (src, dst, weight) DataFrame to the driver. */
+  /** Collect a canonical (src, dst, weight) DataFrame to the driver.
+    * Rejects a row with a null, naming the row.
+    */
   def fromDataFrame(canonical: DataFrame): SeqGraph = {
     val rows = canonical.select("src", "dst", "weight").collect()
+    rows.foreach(r => require(!r.anyNull, s"SeqGraph: edge row (${r.mkString(", ")}) has a null; src, dst and weight must not be null"))
     fromEdges(rows.map(_.getLong(0)), rows.map(_.getLong(1)), rows.map(_.getDouble(2)))
   }
 

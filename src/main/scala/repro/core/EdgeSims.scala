@@ -114,15 +114,17 @@ object EdgeSims {
   }
 
   /** Given (src, dst, sim) for every edge, e.g. approximate ones: collect
-    * the similarities by edge id of the prepared graph. A similarity that
-    * is NaN or infinite is refused, naming its edge: NO would sort a NaN
-    * first and hide every ε-neighbor behind it.
+    * the similarities by edge id of the prepared graph. A row with a null,
+    * a pair that is not an edge and a similarity that is NaN or infinite
+    * are refused, naming the row: NO would sort a NaN first and hide every
+    * ε-neighbor behind it.
     */
   def collect(canonical: DataFrame, simsDf: DataFrame): EdgeSims = {
     val (spark, bg) = (canonical.sparkSession, PreparedGraph.of(canonical))
     val g = bg.value
     val (sims, seen) = (new Array[Double](g.numEdges.toInt), new java.util.BitSet)
     simsDf.select("src", "dst", "sim").collect().foreach { r =>
+      require(!r.anyNull, s"similarities: row (${r.mkString(", ")}) has a null")
       val (src, dst, sim) = (r.getLong(0), r.getLong(1), r.getDouble(2))
       val e = eidOf(g, src, dst)
       require(!seen.get(e), s"similarities: ($src, $dst) repeats")
@@ -134,7 +136,8 @@ object EdgeSims {
   }
 
   private def eidOf(g: SeqGraph, src: Long, dst: Long): Int = {
-    val e = g.eidOf(g.idOf(src), g.idOf(dst))
+    val (u, v) = (java.util.Arrays.binarySearch(g.ids, src), java.util.Arrays.binarySearch(g.ids, dst))
+    val e = if (u < 0 || v < 0) -1 else g.eidOf(u, v)
     require(e >= 0, s"similarities: ($src, $dst) is not an edge")
     e
   }

@@ -4,6 +4,7 @@ import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.repro.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{col, lit, when}
 import repro.core.{ScanIndex, ScanQuery, Stripes}
 
 /** Shared helpers for the test suites: DataFrame → driver-side maps and
@@ -39,6 +40,15 @@ object TestUtil {
   /** `body` with every stripe phase held against `grain`, if one is given. */
   def onPath[A](grain: Option[Long])(body: => A): A = grain.fold(body)(Stripes.withGrain(_)(body))
 
+  /** `raw`'s ids moved to negative ids and to ids near `Long.MaxValue` and
+    * `Long.MinValue`, distinct ids staying distinct.
+    */
+  def extremeIds(raw: DataFrame): DataFrame = {
+    val remap = (c: String) =>
+      when(col(c) % 3 === 0, lit(Long.MaxValue) - col(c)).when(col(c) % 3 === 1, lit(Long.MinValue) + col(c)).otherwise(-col(c) * 7919)
+    raw.select(remap("src").as("src"), remap("dst").as("dst"), col("weight"))
+  }
+
   /** Ids of the broadcasts whose blocks the driver holds. */
   def broadcastIds(spark: SparkSession): Set[Long] = ListenerBusAccess.broadcastIds(spark.sparkContext)
 
@@ -54,13 +64,13 @@ object TestUtil {
       .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2))
       .toMap
 
-  /** (v, cluster) DataFrame → map. */
+  /** (v, cluster) DataFrame → map, read by name: a projection costs a plan. */
   def clustersToMap(df: DataFrame): Map[Long, Long] =
-    df.select("v", "cluster").collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    df.collect().map(r => r.getAs[Long]("v") -> r.getAs[Long]("cluster")).toMap
 
-  /** (v, role) DataFrame → map. */
+  /** (v, role) DataFrame → map, read like `clustersToMap`. */
   def rolesToMap(df: DataFrame): Map[Long, String] =
-    df.select("v", "role").collect().map(r => r.getLong(0) -> r.getString(1)).toMap
+    df.collect().map(r => r.getAs[Long]("v") -> r.getAs[String]("role")).toMap
 
   /** (v) DataFrame → set. */
   def vertexSet(df: DataFrame): Set[Long] =
@@ -147,18 +157,6 @@ object TestUtil {
        |               1 + COUNT(*) AS cd
        |        FROM ssym GROUP BY v)
        |SELECT v FROM cnt WHERE cd >= $mu AND ec >= $mu""".stripMargin
-
-  /** Connected components (min reachable id) via recursive CTE — small
-    * graphs only (transitive closure).
-    */
-  val componentsSql: String =
-    s"""WITH RECURSIVE $symEdges,
-       |vs AS (SELECT DISTINCT v FROM sym),
-       |reach(a, b) AS (
-       |  SELECT v, v FROM vs
-       |  UNION
-       |  SELECT r.a, s.n FROM reach r JOIN sym s ON s.v = r.b)
-       |SELECT a AS v, MIN(b) AS component FROM reach GROUP BY a""".stripMargin
 
   /** Hub/outlier classification of unclustered vertices from edges +
     * clusters tables.

@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestUtil}
 import repro.baseline.SeqGraph
-import repro.core.{PreparedGraph, ScanIndex, ScanQuery, Similarity, Stripes}
+import repro.core.{Differential, PreparedGraph, ScanIndex, ScanQuery, Similarity, Stripes}
 import repro.graph.{GraphGen, GraphViews}
 
 class ApproxSpec extends SparkSpec {
@@ -189,19 +189,10 @@ class ApproxSpec extends SparkSpec {
     idx.unpersist()
   }
 
+  // Every degree is below k, so the index is exact: the harness asserts equal
+  // similarities (within 1e-9 on this weighted graph) and equal clusters.
   test("high-k approximate clustering matches exact clustering (dense graph)") {
-    val g     = GraphGen.denseWeighted(spark, 60, 900, seed = 33)
-    val exact = ScanIndex.build(g, Similarity.Cosine).cache()
-    // eps=0.5 away from the sim mass boundary; high k.
-    val approxIdx = ApproxSimilarity.buildIndex(g, Similarity.Cosine, 2048, seed = 34).cache()
-    val a = TestUtil.clustersToMap(ScanQuery.cluster(approxIdx, 3, 0.5))
-    val b = TestUtil.clustersToMap(ScanQuery.cluster(exact, 3, 0.5))
-    // identical modulo edges inside the eps band; demand >= 90% agreement
-    val common = a.keySet.intersect(b.keySet)
-    val total  = a.keySet.union(b.keySet)
-    assert(total.isEmpty || common.size.toDouble / total.size >= 0.9,
-      s"clustered-set agreement too low: ${common.size}/${total.size}")
-    exact.unpersist(); approxIdx.unpersist()
+    Differential(GraphGen.denseWeighted(spark, 60, 900, seed = 33), Similarity.Cosine).checkApprox(2048, Seq((3, 0.5)))
   }
 
   // The cap is the count this build measures on the test session with

@@ -2,7 +2,7 @@ package repro.baseline
 
 import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestUtil}
-import repro.core.{ScanIndex, Similarity}
+import repro.core.{Differential, ScanIndex, Similarity}
 import repro.graph.GraphGen
 
 class BaselineSpec extends SparkSpec {
@@ -75,26 +75,12 @@ class BaselineSpec extends SparkSpec {
   }
 
   test("sequential index query equals sequential original SCAN across a grid") {
-    val sg  = SeqGraph.fromDataFrame(GraphGen.rmat(spark, 10, 3000, seed = 82))
-    val idx = SeqScanIndex.buildOpt(sg, Similarity.Cosine)
-    for ((mu, eps) <- Seq((2, 0.3), (2, 0.7), (3, 0.5), (5, 0.4), (5, 0.8), (8, 0.6))) {
-      val a = idx.cluster(mu, eps)
-      val b = SeqScan.cluster(sg, Similarity.Cosine, mu, eps)
-      assert(a == b, s"(mu=$mu, eps=$eps)")
-    }
+    Differential(GraphGen.rmat(spark, 10, 3000, seed = 82), Similarity.Cosine)
+      .checkPoints(Seq((2, 0.3), (2, 0.7), (3, 0.5), (5, 0.4), (5, 0.8), (8, 0.6)))
   }
 
   test("sequential index query equals the Spark index query across a grid") {
-    val g     = GraphGen.erdosRenyi(spark, 250, 2000, seed = 83)
-    val index = ScanIndex.build(g, Similarity.Cosine).cache()
-    val sg    = SeqGraph.fromDataFrame(g)
-    val sIdx  = SeqScanIndex.buildOpt(sg, Similarity.Cosine)
-    for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- Seq((2, 0.4), (3, 0.6), (4, 0.5), (6, 0.3))) {
-      val spark_ = TestUtil.clustersToMap(TestUtil.cluster(index, mu, eps, grain))
-      val seq_   = sIdx.cluster(mu, eps)
-      assert(spark_ == seq_, s"(mu=$mu, eps=$eps)$path")
-    }
-    index.unpersist()
+    Differential(GraphGen.erdosRenyi(spark, 250, 2000, seed = 83), Similarity.Cosine).checkPoints(Seq((2, 0.4), (3, 0.6), (4, 0.5), (6, 0.3)))
   }
 
   test("sequential index cores are a sorted prefix (doubling search correctness)") {
@@ -147,49 +133,16 @@ class BaselineSpec extends SparkSpec {
 
   // --------------------------------------------------------- ppSCAN-like --
 
-  // ppSCAN-like shares the ε-edge walk and `merge` with the index query, so
-  // it is also checked against original SCAN, which shares neither.
-  private def checkPpScan(name: String, g: => DataFrame, weighted: Boolean, params: Seq[(Int, Double)]): Unit = {
-    lazy val graph = g.cache()
-    lazy val index = ScanIndex.build(graph, Similarity.Cosine).cache()
-    lazy val sg    = SeqGraph.fromDataFrame(graph)
-    for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- params) {
-      test(s"ppSCAN-like equals the index query on $name at (mu=$mu, eps=$eps)$path") {
-        val a = TestUtil.clustersToMap(PpScan.cluster(graph, Similarity.Cosine, mu, eps))
-        val b = TestUtil.clustersToMap(TestUtil.cluster(index, mu, eps, grain))
-        assert(a == b)
-        val scan =
-          if (!weighted) SeqScan.cluster(sg, Similarity.Cosine, mu, eps)
-          else {
-            // Weighted sims: feed Spark-computed values into the reference
-            // so FP summation order cannot flip >= eps at the boundary.
-            val sims = TestUtil.simsToMap(index.similarities)
-            SeqScan.clusterWithSims(
-              sg,
-              (u, v) => sims((math.min(sg.ids(u), sg.ids(v)), math.max(sg.ids(u), sg.ids(v)))),
-              mu,
-              eps)
-          }
-        assert(a == scan)
-      }
-    }
+  // Named inputs of the differential harness (`Differential`), which also
+  // checks ppSCAN-like against original SCAN: only SCAN shares no `merge`.
+  for ((name, g, points) <- Seq[(String, () => DataFrame, Seq[(Int, Double)])](
+      ("figureLike", () => GraphGen.figureLike(spark), Seq((2, 0.44), (3, 0.8), (2, 0.9), (4, 0.85))),
+      ("rmat-9", () => GraphGen.rmat(spark, 9, 2200, seed = 85), Seq((2, 0.3), (3, 0.6), (5, 0.5), (5, 0.9))),
+      ("dense-weighted-60", () => GraphGen.denseWeighted(spark, 60, 700, seed = 86), Seq((2, 0.5), (4, 0.7))))) {
+    lazy val d = Differential(g(), Similarity.Cosine)
+    for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- points)
+      test(s"ppSCAN-like equals the index query on $name at (mu=$mu, eps=$eps)$path")(d.checkPoint(mu, eps, Seq(path -> grain)))
   }
-
-  checkPpScan(
-    "figureLike",
-    GraphGen.figureLike(spark),
-    weighted = false,
-    Seq((2, 0.44), (3, 0.8), (2, 0.9), (4, 0.85)))
-  checkPpScan(
-    "rmat-9",
-    GraphGen.rmat(spark, 9, 2200, seed = 85),
-    weighted = false,
-    Seq((2, 0.3), (3, 0.6), (5, 0.5), (5, 0.9)))
-  checkPpScan(
-    "dense-weighted-60",
-    GraphGen.denseWeighted(spark, 60, 700, seed = 86),
-    weighted = true,
-    Seq((2, 0.5), (4, 0.7)))
 
   // A fresh graph is prepared by the query's first job; a prepared one
   // leaves only the stripe job.
@@ -205,16 +158,7 @@ class BaselineSpec extends SparkSpec {
   }
 
   test("ppSCAN-like on jaccard equals the jaccard index query") {
-    val g     = GraphGen.rmat(spark, 9, 1800, seed = 87).cache()
-    val index = ScanIndex.build(g, Similarity.Jaccard).cache()
-    val sg    = SeqGraph.fromDataFrame(g)
-    for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- Seq((2, 0.3), (3, 0.5))) {
-      val a = TestUtil.clustersToMap(PpScan.cluster(g, Similarity.Jaccard, mu, eps))
-      val b = TestUtil.clustersToMap(TestUtil.cluster(index, mu, eps, grain))
-      assert(a == b, s"(mu=$mu, eps=$eps)$path")
-      assert(a == SeqScan.cluster(sg, Similarity.Jaccard, mu, eps), s"SCAN (mu=$mu, eps=$eps)")
-    }
-    index.unpersist(); g.unpersist()
+    Differential(GraphGen.rmat(spark, 9, 1800, seed = 87), Similarity.Jaccard).checkPoints(Seq((2, 0.3), (3, 0.5)))
   }
 
   // σ(1, 2) ≈ 0.9995, but the unit-weight degree bound sqrt(2/22) ≈ 0.30.

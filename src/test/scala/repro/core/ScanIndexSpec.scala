@@ -1,7 +1,7 @@
 package repro.core
 
 import java.io.{ObjectOutputStream, OutputStream}
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec, TestUtil}
@@ -120,67 +120,27 @@ class ScanIndexSpec extends SparkSpec {
 
   // ------------------------------------------- Spark index vs buildOpt --
 
-  /** The Spark index's NO and CO equal the sequential index's arrays over
-    * the same vertex ids: neighbors and order exactly, similarities within
-    * `tol`.
-    */
-  private def assertSameIndex(idx: ScanIndex, seq: SeqScanIndex, tol: Double): Unit = {
-    val (ix, g) = (idx.layout.value, seq.g)
-    def same(a: Array[Double], b: Array[Double]) = a.length == b.length && a.indices.forall { i =>
-      if (tol == 0.0) java.lang.Double.compare(a(i), b(i)) == 0 else math.abs(a(i) - b(i)) <= tol
-    }
-    assert(idx.graph.value.ids.sameElements(g.ids))
-    assert(ix.noNbr.length == g.n && ix.noSim.length == g.n)
-    for (v <- 0 until g.n) {
-      assert(ix.noNbr(v).sameElements(seq.noNbr(v)), s"NO[${g.ids(v)}] neighbors")
-      assert(same(ix.noSim(v), seq.noSim(v)), s"NO[${g.ids(v)}]: ${ix.noSim(v).mkString(", ")} vs ${seq.noSim(v).mkString(", ")}")
-    }
-    assert(idx.maxMu == math.max(seq.maxMu, 1) && ix.coVert.take(2).forall(_.isEmpty))
-    for (mu <- 2 to seq.maxMu) {
-      assert(ix.coVert(mu).sameElements(seq.coVert(mu)), s"CO[$mu] vertices")
-      assert(same(ix.coThresh(mu), seq.coThresh(mu)), s"CO[$mu]: ${ix.coThresh(mu).mkString(", ")} vs ${seq.coThresh(mu).mkString(", ")}")
-    }
-  }
-
-  /** On both build paths (`TestUtil.stripePaths`): the Spark index equals
-    * buildOpt's, similarities within `tasksTol` in tasks (weighted sums
-    * there add the stripes' triangle sums in another order) and bit for
-    * bit on the driver, and every phase ran on the path's side of its grain.
-    */
-  private def assertBuildMatchesBuildOpt(graph: DataFrame, measure: Similarity.Measure = Similarity.Cosine, tasksTol: Double = 0.0): Unit = {
-    val seq = SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(graph), measure)
-    for ((path, grain) <- TestUtil.stripePaths) {
-      val idx = TestUtil.onPath(grain)(ScanIndex.build(graph, measure))
-      assert(idx.phases.map(_.name) == Seq("triangles", "orders"))
-      assert(idx.phases.forall(_.inline == grain.isEmpty), s"path '$path': ${idx.phases}")
-      assertSameIndex(idx, seq, if (grain.isEmpty) 0.0 else tasksTol)
-      idx.unpersist()
-    }
-  }
+  // By `Differential.checkIndex`, on both build paths: within 1e-9 for
+  // weighted sums in tasks, which add the stripes' triangle sums in another
+  // order, and bit for bit otherwise.
 
   test("Spark index NO and CO equal buildOpt exactly on an unweighted RMAT graph") {
-    assertBuildMatchesBuildOpt(g)
+    Differential(g, Similarity.Cosine).checkIndex()
   }
 
   test("Spark index NO and CO equal buildOpt with negative and near-Long.MaxValue ids") {
-    val remap = (c: String) =>
-      when(col(c) % 3 === 0, lit(Long.MaxValue) - col(c))
-        .when(col(c) % 3 === 1, lit(Long.MinValue) + col(c))
-        .otherwise(-col(c) * 7919)
-    val raw = GraphGen.rmat(spark, 7, 600, seed = 62)
-      .select(remap("src").as("src"), remap("dst").as("dst"), col("weight"))
-    val ids = GraphOps.canonicalize(raw).cache()
+    val ids = GraphOps.canonicalize(TestUtil.extremeIds(GraphGen.rmat(spark, 7, 600, seed = 62))).cache()
     assert(ids.filter(col("src") < 0).count() > 0 && ids.filter(col("dst") > Long.MaxValue - 200).count() > 0)
-    assertBuildMatchesBuildOpt(ids)
+    Differential(ids, Similarity.Cosine).checkIndex()
     ids.unpersist()
   }
 
   test("Spark index on a one-edge graph and on a graph without triangles") {
     val one = GraphGen.fromEdges(spark, Seq((5L, 9L)))
-    assertBuildMatchesBuildOpt(one)
+    Differential(one, Similarity.Cosine).checkIndex()
     assert(ScanIndex.build(one, Similarity.Cosine).layout.value.noSim.flatten.toSeq == Seq(1.0, 1.0))
     // A tree: every dot is 2, so sims come from the norms alone.
-    assertBuildMatchesBuildOpt(GraphGen.fromEdges(spark, Seq((0L, 1L), (0L, 2L), (0L, 3L), (3L, 4L), (4L, 5L), (4L, 6L))))
+    Differential(GraphGen.fromEdges(spark, Seq((0L, 1L), (0L, 2L), (0L, 3L), (3L, 4L), (4L, 5L), (4L, 6L))), Similarity.Cosine).checkIndex()
   }
 
   test("an empty graph gives an empty index with maxMu 1") {
@@ -199,7 +159,7 @@ class ScanIndexSpec extends SparkSpec {
     val sims = new Array[Double](sg.numEdges.toInt)
     idx.similarities.collect().foreach(r => sims(sg.eidOf(sg.idOf(r.getLong(0)), sg.idOf(r.getLong(1)))) = r.getDouble(2))
     assert(sims.exists(_ < 0) && sims.distinct.length <= 9, sims.distinct.sorted.mkString(", "))
-    assertSameIndex(idx, SeqScanIndex.buildFromSims(sg, sims), 0.0)
+    Differential.assertSameIndex(idx, SeqScanIndex.buildFromSims(sg, sims), 0.0)
     idx.unpersist(); gw.unpersist()
   }
 
@@ -219,13 +179,11 @@ class ScanIndexSpec extends SparkSpec {
   }
 
   test("Spark index NO and CO on a weighted graph equal buildOpt within 1e-9, and bit for bit on the driver") {
-    val gw = GraphGen.denseWeighted(spark, 60, 700, seed = 69).cache()
-    assertBuildMatchesBuildOpt(gw, tasksTol = 1e-9)
-    gw.unpersist()
+    Differential(GraphGen.denseWeighted(spark, 60, 700, seed = 69), Similarity.Cosine).checkIndex()
   }
 
   test("Spark index NO and CO under Jaccard equal buildOpt exactly") {
-    assertBuildMatchesBuildOpt(g, Similarity.Jaccard)
+    Differential(g, Similarity.Jaccard).checkIndex()
   }
 
   for (measure <- Seq(Similarity.Cosine, Similarity.Jaccard)) {
@@ -237,7 +195,7 @@ class ScanIndexSpec extends SparkSpec {
       assert(driver.phases.map(_.name) == Seq("sketch", "estimate", "orders"))
       assert(driver.phases.forall(_.inline) && tasks.phases.forall(!_.inline), s"${driver.phases} / ${tasks.phases}")
       assert(driver.phases.map(_.work) == tasks.phases.map(_.work))
-      assertSameIndex(tasks, new SeqScanIndex(SeqGraph.fromDataFrame(gw), driver.layout.value), 0.0)
+      Differential.assertSameIndex(tasks, new SeqScanIndex(SeqGraph.fromDataFrame(gw), driver.layout.value), 0.0)
       driver.unpersist(); tasks.unpersist(); gw.unpersist()
     }
   }
@@ -255,7 +213,7 @@ class ScanIndexSpec extends SparkSpec {
   test("fromSimilarities on a weighted graph equals buildOpt within 1e-9") {
     val gw  = GraphGen.denseWeighted(spark, 60, 700, seed = 63).cache()
     val idx = ScanIndex.fromSimilarities(gw, Similarity.similarities(gw, Similarity.Cosine))
-    assertSameIndex(idx, SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(gw), Similarity.Cosine), 1e-9)
+    Differential.assertSameIndex(idx, SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(gw), Similarity.Cosine), 1e-9)
     gw.unpersist()
   }
 
@@ -275,6 +233,18 @@ class ScanIndexSpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](ScanIndex.fromSimilarities(fig, poisoned))
       assert(e.getMessage.contains(s"edge (0, 1) has similarity $bad"), e.getMessage)
       poisoned.unpersist()
+    }
+  }
+
+  test("fromSimilarities rejects a null and a pair that is not an edge, naming the row") {
+    import spark.implicits._
+    val fig  = GraphGen.figureLike(spark)
+    val sims = Similarity.similarities(fig, Similarity.Cosine)
+    for ((bad, message) <- Seq(
+        sims.withColumn("sim", when(col("src") === 0 && col("dst") === 1, lit(null)).otherwise(col("sim"))) -> "row (0, 1, null) has a null",
+        sims.union(Seq((0L, 99L, 0.5)).toDF("src", "dst", "sim")) -> "(0, 99) is not an edge")) {
+      val e = intercept[IllegalArgumentException](ScanIndex.fromSimilarities(fig, bad))
+      assert(e.getMessage.contains(message), e.getMessage)
     }
   }
 

@@ -1,10 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.approx.ApproxSimilarity
-import repro.baseline.{SeqGraph, SeqScan, SeqScanIndex}
+import repro.baseline.{SeqGraph, SeqScanIndex}
 import repro.graph.{GraphGen, GraphOps}
 
 class ScanQuerySpec extends SparkSpec {
@@ -81,42 +80,10 @@ class ScanQuerySpec extends SparkSpec {
     intercept[IllegalArgumentException](ScanQuery.cluster(figIdx, 1, 0.5))
   }
 
-  // --------------------------------- equivalence vs sequential SCAN ------
+  // ------------------------------------ the differential harness ------
 
-  // The differential tests below run on both cluster query paths
-  // (`stripePaths`): the public call, inline on the driver for these graphs,
-  // and grain 0, in Spark tasks. Roles always run on the driver.
-
-  private def checkAgainstSeqScan(
-      name: String,
-      g: DataFrame,
-      weighted: Boolean,
-      params: Seq[(Int, Double)]): Unit = {
-    lazy val idx = ScanIndex.build(g, Similarity.Cosine).cache()
-    lazy val sg  = SeqGraph.fromDataFrame(g)
-    for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- params) {
-      test(s"index query equals sequential SCAN on $name at (mu=$mu, eps=$eps)$path") {
-        val ours = TestUtil.clustersToMap(TestUtil.cluster(idx, mu, eps, grain))
-        val ref =
-          if (!weighted) SeqScan.cluster(sg, Similarity.Cosine, mu, eps)
-          else {
-            // Weighted sims: feed Spark-computed values into the reference
-            // so FP summation order cannot flip >= eps at the boundary.
-            val sims = TestUtil.simsToMap(idx.similarities)
-            SeqScan.clusterWithSims(
-              sg,
-              (u, v) => sims((math.min(sg.ids(u), sg.ids(v)), math.max(sg.ids(u), sg.ids(v)))),
-              mu,
-              eps)
-          }
-        assert(ours == ref, {
-          val onlyOurs = ours.toSet -- ref.toSet
-          val onlyRef  = ref.toSet -- ours.toSet
-          s"mismatch: onlyOurs=${onlyOurs.take(5)} onlyRef=${onlyRef.take(5)}"
-        })
-      }
-    }
-  }
+  // Named inputs of the differential harness (`Differential`), one test per
+  // point and query path (`stripePaths`).
 
   private val grid = Seq(
     (2, 0.2), (2, 0.5), (2, 0.8),
@@ -124,11 +91,16 @@ class ScanQuerySpec extends SparkSpec {
     (5, 0.4), (5, 0.7),
     (8, 0.5), (16, 0.6))
 
-  checkAgainstSeqScan("figureLike", GraphGen.figureLike(spark), weighted = false, grid)
-  checkAgainstSeqScan("rmat-10", GraphGen.rmat(spark, 10, 3000, seed = 71), weighted = false, grid)
-  checkAgainstSeqScan("er-200", GraphGen.erdosRenyi(spark, 200, 1400, seed = 72), weighted = false, grid)
-  checkAgainstSeqScan("dense-weighted-80", GraphGen.denseWeighted(spark, 80, 1000, seed = 73), weighted = true, grid)
-  checkAgainstSeqScan("planted-90", GraphGen.plantedPartition(spark, 90, 3, 0.5, 0.02, seed = 74), weighted = false, grid)
+  for ((name, g) <- Seq[(String, () => DataFrame)](
+      "figureLike" -> (() => GraphGen.figureLike(spark)),
+      "rmat-10" -> (() => GraphGen.rmat(spark, 10, 3000, seed = 71)),
+      "er-200" -> (() => GraphGen.erdosRenyi(spark, 200, 1400, seed = 72)),
+      "dense-weighted-80" -> (() => GraphGen.denseWeighted(spark, 80, 1000, seed = 73)),
+      "planted-90" -> (() => GraphGen.plantedPartition(spark, 90, 3, 0.5, 0.02, seed = 74)))) {
+    lazy val d = Differential(g(), Similarity.Cosine)
+    for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- grid)
+      test(s"index query equals sequential SCAN on $name at (mu=$mu, eps=$eps)$path")(d.checkPoint(mu, eps, Seq(path -> grain)))
+  }
 
   // ----------------------------------- hubs/outliers against the oracle --
 
@@ -165,53 +137,22 @@ class ScanQuerySpec extends SparkSpec {
     clusters.unpersist()
   }
 
-  // ------------------------- Spark query vs the sequential GS*-Index -----
-
-  /** The sequential index over the similarities `idx` holds, so both sides
-    * query the same values (weighted and approximate indexes).
-    */
-  private def seqOf(g: DataFrame, idx: ScanIndex): SeqScanIndex = {
-    val (sg, sims) = (SeqGraph.fromDataFrame(g), TestUtil.simsToMap(idx.similarities))
-    SeqScanIndex.buildFromSims(sg, sg.edges.map { case (u, v, _) => sims((sg.ids(u), sg.ids(v))) }.toArray)
-  }
-
-  /** Spark clusters and roles equal `seq.cluster`/`hubsAndOutliers` at
-    * every point, on both query paths.
-    */
-  private def assertSameAsSequential(g: DataFrame, idx: ScanIndex, seq: SeqScanIndex, points: Seq[(Int, Double)]): Unit =
-    for ((path, grain) <- TestUtil.stripePaths; (mu, eps) <- points) {
-      val clusters = TestUtil.cluster(idx, mu, eps, grain)
-      val want     = seq.cluster(mu, eps)
-      assert(TestUtil.clustersToMap(clusters) == want, s"clusters at ($mu, $eps)$path")
-      assert(TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(g, clusters)) == seq.hubsAndOutliers(want), s"roles at ($mu, $eps)$path")
-    }
-
   test("roles of an empty clustering and of one that covers every vertex equal the sequential roles") {
     val seq = SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(fig), Similarity.Cosine)
     // (5, 0.85) has no core, so every vertex is an outlier; at (2, 0.44)
     // one cluster covers all ten vertices, so there are no roles.
     assert(seq.hubsAndOutliers(seq.cluster(5, 0.85)) == (0L to 9L).map(_ -> "outlier").toMap)
     assert(seq.hubsAndOutliers(seq.cluster(2, 0.44)).isEmpty)
-    assertSameAsSequential(fig, figIdx, seq, Seq((5, 0.85), (2, 0.44)))
+    new Differential(fig, Similarity.Cosine, figIdx, exact = true).checkPoints(Seq((5, 0.85), (2, 0.44)))
   }
 
   test("Spark query equals the sequential query on RMAT-9 with negative and near-Long.MaxValue ids") {
-    val remap = (c: String) =>
-      when(col(c) % 3 === 0, lit(Long.MaxValue) - col(c))
-        .when(col(c) % 3 === 1, lit(Long.MinValue) + col(c))
-        .otherwise(-col(c) * 7919)
-    val raw = GraphGen.rmat(spark, 9, 2000, seed = 78)
-      .select(remap("src").as("src"), remap("dst").as("dst"), col("weight"))
-    val g = GraphOps.canonicalize(raw).cache()
-    val idx = ScanIndex.build(g, Similarity.Cosine).cache()
-    assertSameAsSequential(g, idx, SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(g), Similarity.Cosine), grid :+ ((idx.maxMu + 1, 0.1)))
-    idx.unpersist(); g.unpersist()
+    val d = Differential(GraphOps.canonicalize(TestUtil.extremeIds(GraphGen.rmat(spark, 9, 2000, seed = 78))), Similarity.Cosine)
+    d.checkPoints(grid :+ ((d.index.maxMu + 1, 0.1)))
   }
 
   test("Spark query equals the sequential query at every eps equal to a similarity of figureLike") {
-    val seq = SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(fig), Similarity.Cosine)
-    val ties = TestUtil.simsToMap(figIdx.similarities).values.toSeq.distinct
-    assertSameAsSequential(fig, figIdx, seq, for (mu <- 2 to 4; eps <- ties) yield (mu, eps))
+    Differential.check(fig, Similarity.Cosine)
   }
 
   test("a border vertex equally similar to cores of two clusters joins the lower core's") {
@@ -219,23 +160,19 @@ class ScanQuerySpec extends SparkSpec {
     // by the same expression, and 3 and 13 are cores at (4, 0.5).
     val k4 = (b: Long) => for (i <- 0L to 3L; j <- i + 1 to 3L) yield (b + i, b + j)
     val g = GraphGen.fromEdges(spark, k4(0L) ++ k4(10L) ++ Seq((3L, 20L), (13L, 20L)))
-    val idx = ScanIndex.build(g, Similarity.Cosine)
-    assert(TestUtil.clustersToMap(ScanQuery.cluster(idx, 4, 0.5)).get(20L) == Some(0L))
-    assertSameAsSequential(g, idx, SeqScanIndex.buildOpt(SeqGraph.fromDataFrame(g), Similarity.Cosine), Seq((4, 0.5), (2, 0.5)))
+    val d = Differential(g, Similarity.Cosine)
+    assert(TestUtil.clustersToMap(ScanQuery.cluster(d.index, 4, 0.5)).get(20L) == Some(0L))
+    d.checkPoints(Seq((4, 0.5), (2, 0.5)))
   }
 
   test("Spark query equals the sequential query on a weighted fromSimilarities index") {
-    val g   = GraphGen.denseWeighted(spark, 60, 700, seed = 79).cache()
-    val idx = ScanIndex.fromSimilarities(g, Similarity.similarities(g, Similarity.Cosine)).cache()
-    assertSameAsSequential(g, idx, seqOf(g, idx), grid)
-    idx.unpersist(); g.unpersist()
+    val g = GraphGen.denseWeighted(spark, 60, 700, seed = 79)
+    new Differential(g, Similarity.Cosine, ScanIndex.fromSimilarities(g, Similarity.similarities(g, Similarity.Cosine)), exact = true).checkPoints(grid)
   }
 
   test("Spark query equals the sequential query on an approximate index") {
-    val g   = GraphGen.denseWeighted(spark, 60, 900, seed = 80).cache()
-    val idx = ApproxSimilarity.buildIndex(g, Similarity.Cosine, 16, seed = 81).cache()
-    assertSameAsSequential(g, idx, seqOf(g, idx), grid)
-    idx.unpersist(); g.unpersist()
+    val g = GraphGen.denseWeighted(spark, 60, 900, seed = 80)
+    new Differential(g, Similarity.Cosine, ApproxSimilarity.buildIndex(g, Similarity.Cosine, 16, seed = 81), exact = false).checkPoints(grid)
   }
 
   test("labels of a DataFrame that no query returned are collected only if they fit the driver") {

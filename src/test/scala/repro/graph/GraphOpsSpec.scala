@@ -1,7 +1,8 @@
 package repro.graph
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestUtil}
+import repro.core.{ScanIndex, Similarity}
 
 class GraphOpsSpec extends SparkSpec {
   import spark.implicits._
@@ -28,6 +29,20 @@ class GraphOpsSpec extends SparkSpec {
   test("canonicalize defaults weight to 1.0 when absent") {
     val df = GraphOps.canonicalize(Seq((1L, 2L)).toDF("src", "dst"))
     assert(df.collect()(0).getDouble(2) == 1.0)
+  }
+
+  test("canonicalize makes Int ids Long, so a build reads them") {
+    val g = GraphOps.canonicalize(Seq((0, 1), (1, 2), (0, 2), (2, 3)).toDF("src", "dst"))
+    assert(g.schema.map(_.dataType.simpleString) == Seq("bigint", "bigint", "double"))
+    assert(ScanIndex.build(g, Similarity.Cosine).maxMu == 4)
+  }
+
+  // least/greatest skip a null: (null, 2) became the self-loop (2, 2) and vanished.
+  test("a null endpoint or weight is refused when the graph is prepared, naming the row") {
+    def refused(raw: DataFrame) = intercept[IllegalArgumentException](ScanIndex.build(GraphOps.canonicalize(raw), Similarity.Cosine)).getMessage
+    assert(refused(Seq[(java.lang.Long, java.lang.Long)]((1L, 2L), (null, 2L)).toDF("src", "dst")).contains("edge row (null, 2, 1.0) has a null"))
+    val weights = Seq[(Long, Long, java.lang.Double)]((1L, 2L, 0.5), (2L, 3L, null), (3L, 2L, 0.5))
+    assert(refused(weights.toDF("src", "dst", "weight")).contains("edge row (2, 3, null) has a null"))
   }
 
   test("symmetrize doubles the edge count") {
