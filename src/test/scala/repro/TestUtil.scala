@@ -40,9 +40,7 @@ object TestUtil {
   /** `body` with every stripe phase held against `grain`, if one is given. */
   def onPath[A](grain: Option[Long])(body: => A): A = grain.fold(body)(Stripes.withGrain(_)(body))
 
-  /** `raw`'s ids moved to negative ids and to ids near `Long.MaxValue` and
-    * `Long.MinValue`, distinct ids staying distinct.
-    */
+  /** `raw`'s ids moved to negative ones and near `Long.MaxValue`/`MinValue`, kept distinct. */
   def extremeIds(raw: DataFrame): DataFrame = {
     val remap = (c: String) =>
       when(col(c) % 3 === 0, lit(Long.MaxValue) - col(c)).when(col(c) % 3 === 1, lit(Long.MinValue) + col(c)).otherwise(-col(c) * 7919)

@@ -133,8 +133,7 @@ class BaselineSpec extends SparkSpec {
 
   // --------------------------------------------------------- ppSCAN-like --
 
-  // Named inputs of the differential harness (`Differential`), which also
-  // checks ppSCAN-like against original SCAN: only SCAN shares no `merge`.
+  // Named inputs of the differential harness, whose original SCAN shares no `merge`.
   for ((name, g, points) <- Seq[(String, () => DataFrame, Seq[(Int, Double)])](
       ("figureLike", () => GraphGen.figureLike(spark), Seq((2, 0.44), (3, 0.8), (2, 0.9), (4, 0.85))),
       ("rmat-9", () => GraphGen.rmat(spark, 9, 2200, seed = 85), Seq((2, 0.3), (3, 0.6), (5, 0.5), (5, 0.9))),

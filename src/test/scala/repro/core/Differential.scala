@@ -8,22 +8,33 @@ import repro.approx.ApproxSimilarity
 import repro.baseline.{PpScan, SeqGraph, SeqScan, SeqScanIndex}
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
+import scala.util.{Failure, Try}
+import scala.util.control.NonFatal
 
 /** The differential harness: every SCAN implementation over one canonical
   * graph, checked for agreement (DESIGN.md "Correctness strategy"). The
   * references run over the program's CSR, the prepared graph `g`. `index`
-  * is the index whose queries are checked; `exact` says it holds the exact
-  * similarities, which ppSCAN-like and the approximate index at large k
-  * compute for themselves with the per-edge merge.
+  * is the index whose queries are checked.
   */
-final class Differential(val canonical: DataFrame, val measure: Similarity.Measure, val index: ScanIndex, exact: Boolean) {
+final class Differential(val canonical: DataFrame, val measure: Similarity.Measure, val index: ScanIndex) {
   import Differential._
 
   val g: SeqGraph = PreparedGraph.of(canonical).value
   private val weighted = g.wts.exists(_.exists(_ != 1.0))
 
+  /** Bit for bit, but within 1e-9 on a weighted graph, summed in other orders. */
+  private val tol = if (weighted) 1e-9 else 0.0
+
   /** The index's similarities by edge id of `g`, and the GS*-query over them. */
-  private val (sims, gs) = { val s = byEdge(index.similarities); (s, SeqScanIndex.buildFromSims(g, s)) }
+  val (sims, gs) = { val s = byEdge(index.similarities); (s, SeqScanIndex.buildFromSims(g, s)) }
+
+  /** The per-edge merge's similarities by edge id, which ppSCAN-like and
+    * the approximate index at large k compute; and whether the index's are
+    * these, as every index's but an approximate one's that sketched.
+    */
+  private val exactSims = new Array[Double](g.numEdges.toInt)
+  for (u <- 0 until g.n; k <- g.adj(u).indices) exactSims(g.eids(u)(k)) = SeqScanIndex.edgeSim(g, measure, u, k)
+  val exact: Boolean = close(sims, exactSims, tol)
 
   /** Original SCAN's similarities: its own on an exact unweighted index, so
     * that it shares no code with the others; else the index's, so that
@@ -32,31 +43,35 @@ final class Differential(val canonical: DataFrame, val measure: Similarity.Measu
   private val scanSim: (Int, Int) => Double =
     if (exact && !weighted) SeqScan.similarityFn(g, measure) else (u, v) => sims(g.eidOf(u, v))
 
-  /** The points whose references `checkPoint` has checked. */
+  /** The points whose references `pointAt` has checked. */
   private val referred = ConcurrentHashMap.newKeySet[(Int, Double)]()
 
-  /** μ ∈ {2, 3, a middle value, maxMu, maxMu + 1} × ε ∈ every distinct
-    * similarity (so every tie) and 0.3, 0.6, 0.9.
-    */
+  /** μ ∈ 2 to maxMu + 1 × ε ∈ every distinct similarity (so every tie), 0.3, 0.6, 0.9. */
   def points: Seq[(Int, Double)] =
-    for (mu <- Seq(2, 3, 1 + index.maxMu / 2, index.maxMu, index.maxMu + 1).filter(_ >= 2).distinct; eps <- (sims ++ Seq(0.3, 0.6, 0.9)).distinct)
-      yield (mu, eps)
+    for (mu <- 2 to index.maxMu + 1; eps <- (sims ++ Seq(0.3, 0.6, 0.9)).distinct) yield (mu, eps)
 
-  /** Whether the per-edge merge's clusters are comparable at ε: on an
-    * exact index, and on a weighted graph only if no similarity lies within
-    * 1e-9 of ε, as the merge sums weights in another order than the index.
+  /** Whether the per-edge merge, which sums weights in another order, must
+    * decide ε as the index does: no weighted similarity is within 1e-9 of ε.
     */
-  private def merged(eps: Double): Boolean = exact && !(weighted && sims.exists(s => math.abs(s - eps) <= 1e-9))
+  private def untied(eps: Double): Boolean = !(weighted && sims.exists(s => math.abs(s - eps) <= 1e-9))
 
-  /** At (μ, ε), on each of `paths`, the Spark query's clusters and roles
-    * equal the GS*-query's, and so, once a point, do original SCAN's
-    * clusters and, where `merged`, ppSCAN-like's.
+  /** A point a test names must be one where ppSCAN-like is compared. */
+  private def named(mu: Int, eps: Double): Unit =
+    assert(!exact || untied(eps), s"($mu, $eps): eps lies within 1e-9 of a similarity of this weighted graph, where ppSCAN-like is not compared")
+
+  /** `pointAt` at a point a test names. */
+  def checkPoint(mu: Int, eps: Double, paths: Seq[(String, Option[Long])] = TestUtil.stripePaths): Unit = { named(mu, eps); pointAt(mu, eps, paths) }
+  def checkPoints(points: Seq[(Int, Double)]): Unit = all(points, pointPool)(p => checkPoint(p._1, p._2))
+
+  /** At (μ, ε), on each of `paths`, the Spark query's clusters and roles are
+    * the GS*-query's, and so, once a point, are original SCAN's clusters and,
+    * on an exact index where `untied`, ppSCAN-like's.
     */
-  def checkPoint(mu: Int, eps: Double, paths: Seq[(String, Option[Long])] = TestUtil.stripePaths): Unit = {
+  private def pointAt(mu: Int, eps: Double, paths: Seq[(String, Option[Long])]): Unit = {
     val (at, want) = (s"($mu, $eps)", gs.cluster(mu, eps))
     if (referred.add((mu, eps))) {
       same(s"original SCAN at $at", SeqScan.clusterWithSims(g, scanSim, mu, eps), want)
-      if (merged(eps)) same(s"ppSCAN-like at $at", TestUtil.clustersToMap(PpScan.cluster(canonical, measure, mu, eps)), want)
+      if (exact && untied(eps)) same(s"ppSCAN-like at $at", TestUtil.clustersToMap(PpScan.cluster(canonical, measure, mu, eps)), want)
     }
     for ((path, grain) <- paths) {
       val clusters = TestUtil.cluster(index, mu, eps, grain)
@@ -64,8 +79,6 @@ final class Differential(val canonical: DataFrame, val measure: Similarity.Measu
       same(s"Spark roles at $at$path", TestUtil.rolesToMap(ScanQuery.hubsAndOutliers(canonical, clusters)), gs.hubsAndOutliers(want))
     }
   }
-
-  def checkPoints(points: Seq[(Int, Double)]): Unit = eachPoint(points)(checkPoint(_, _))
 
   /** On both build paths, `ScanIndex.build`'s NO and CO are `buildOpt`'s,
     * bit for bit but within 1e-9 for a weighted graph in tasks.
@@ -76,21 +89,21 @@ final class Differential(val canonical: DataFrame, val measure: Similarity.Measu
       val idx = TestUtil.onPath(grain)(ScanIndex.build(canonical, measure))
       assert(idx.phases.map(_.name) == Seq("triangles", "orders"))
       assert(idx.phases.forall(_.inline == grain.isEmpty), s"path '$path': ${idx.phases}")
-      assertSameIndex(idx, opt, if (grain.nonEmpty && weighted) 1e-9 else 0.0)
+      assertSameIndex(idx, opt, if (grain.nonEmpty) tol else 0.0)
       idx.unpersist()
     }
   }
 
   /** The approximate index at `k` above every degree, where §6.3 sketches no
-    * vertex: its similarities are the exact ones, bit for bit but within
-    * 1e-9 on a weighted graph, and its clusters are the GS*-query's at each
-    * of `points` where `merged`.
+    * vertex: its similarities are the per-edge merge's, within `tol`, and on
+    * an exact index its clusters are the GS*-query's at the named `points`.
     */
   def checkApprox(k: Int, points: Seq[(Int, Double)]): Unit = {
+    points.foreach { case (mu, eps) => named(mu, eps) }
     val approx = ApproxSimilarity.buildIndex(canonical, measure, k, seed = k)
     assert(approx.phases.head == Stripes.Phase("sketch", 0, Stripes.SketchGrain), approx.phases)
-    assert(close(byEdge(approx.similarities), sims, if (weighted) 1e-9 else 0.0), "approximate similarities")
-    eachPoint(points.filter(p => merged(p._2))) { (mu, eps) =>
+    assert(close(byEdge(approx.similarities), exactSims, tol), "approximate similarities")
+    if (exact) all(points, pointPool) { case (mu, eps) =>
       same(s"approximate clusters at ($mu, $eps)", TestUtil.clustersToMap(ScanQuery.cluster(approx, mu, eps)), gs.cluster(mu, eps))
     }
     approx.unpersist()
@@ -105,33 +118,48 @@ final class Differential(val canonical: DataFrame, val measure: Similarity.Measu
 
 object Differential {
 
-  /** The harness over `ScanIndex.build`'s index. */
-  def apply(canonical: DataFrame, measure: Similarity.Measure): Differential =
-    new Differential(canonical, measure, ScanIndex.build(canonical, measure), exact = true)
+  /** The harness over `ScanIndex.build`'s index, which must be exact. */
+  def apply(canonical: DataFrame, measure: Similarity.Measure): Differential = {
+    val d = new Differential(canonical, measure, ScanIndex.build(canonical, measure))
+    assert(d.exact, "ScanIndex.build's similarities are not the per-edge merge's")
+    d
+  }
 
   /** Every check over `canonical`: the index arrays, the queries at every
-    * point, and the approximate index at k above the maximum degree.
+    * point, and the approximate index at k above every degree where `untied`.
     */
   def check(canonical: DataFrame, measure: Similarity.Measure): Unit = {
     val d = apply(canonical, measure)
     d.checkIndex()
-    d.checkPoints(d.points)
-    d.checkApprox(d.g.maxDegree + 1, d.points)
+    all(d.points, pointPool)(p => d.pointAt(p._1, p._2, TestUtil.stripePaths))
+    d.checkApprox(d.g.maxDegree + 1, d.points.filter(p => d.untied(p._2)))
     d.index.unpersist()
   }
 
-  /** Four daemon threads that inherit no thread-local value, so no point
-    * runs under a grain (`Stripes.withGrain`) that it did not set itself.
+  /** `check` on each of `inputs`, four graphs at a time, so that one graph's
+    * set-up overlaps another's points; then the first failure, named.
     */
-  private val pool = ExecutionContext.fromExecutorService(Executors.newFixedThreadPool(4, r => {
+  def checkAll(inputs: Seq[(String, DataFrame, Similarity.Measure)]): Unit =
+    all(inputs, graphPool) { case (name, canonical, measure) =>
+      try check(canonical, measure) catch { case NonFatal(e) => fail(s"$name: $e", e) }
+    }
+
+  /** Daemon threads that inherit no thread-local value, so no point runs
+    * under a grain (`Stripes.withGrain`) that it did not set itself: eight
+    * for points, which spend most of their time waiting for Spark jobs, and
+    * four for the graphs that wait for their points.
+    */
+  private def daemons(n: Int) = ExecutionContext.fromExecutorService(Executors.newFixedThreadPool(n, r => {
     val t = new Thread(null, r, "differential", 0, false); t.setDaemon(true); t
   }))
+  private val (pointPool, graphPool) = (daemons(8), daemons(4))
 
-  /** `check` at each point on `pool`, which fails with the first failure:
-    * a point spends most of its time waiting for its Spark jobs.
+  /** `f` on each of `xs` on `pool`; then the first failure, once every call
+    * has ended, so that no call's Spark jobs outlive the test.
     */
-  private def eachPoint(points: Seq[(Int, Double)])(check: (Int, Double) => Unit): Unit =
-    Await.result(Future.traverse(points) { case (mu, eps) => Future(check(mu, eps))(pool) }(implicitly, pool), Duration.Inf)
+  private def all[A](xs: Seq[A], pool: ExecutionContext)(f: A => Unit): Unit =
+    Await.result(Future.traverse(xs)(x => Future(Try(f(x)))(pool))(implicitly, pool), Duration.Inf)
+      .collectFirst { case Failure(e) => throw e }
 
   private def same[A](what: String, got: Map[Long, A], want: Map[Long, A]): Unit =
     assert(got == want, s"$what: only here ${(got.toSet -- want.toSet).take(5)}, only in the GS*-query ${(want.toSet -- got.toSet).take(5)}")

@@ -120,10 +120,6 @@ class ScanIndexSpec extends SparkSpec {
 
   // ------------------------------------------- Spark index vs buildOpt --
 
-  // By `Differential.checkIndex`, on both build paths: within 1e-9 for
-  // weighted sums in tasks, which add the stripes' triangle sums in another
-  // order, and bit for bit otherwise.
-
   test("Spark index NO and CO equal buildOpt exactly on an unweighted RMAT graph") {
     Differential(g, Similarity.Cosine).checkIndex()
   }
@@ -153,14 +149,11 @@ class ScanIndexSpec extends SparkSpec {
   // SimHash at k = 8 estimates cos(π·h/8) for h in 0..8: stripes meet
   // equal thresholds, so this pins the tie-break of the CO run merge.
   test("an approximate SimHash index at k = 8 has the NO and CO of buildFromSims over its own estimates") {
-    val gw   = GraphGen.denseWeighted(spark, 80, 1500, seed = 68).cache()
-    val idx  = ApproxSimilarity.buildIndex(gw, Similarity.Cosine, 8, seed = 9)
-    val sg   = SeqGraph.fromDataFrame(gw)
-    val sims = new Array[Double](sg.numEdges.toInt)
-    idx.similarities.collect().foreach(r => sims(sg.eidOf(sg.idOf(r.getLong(0)), sg.idOf(r.getLong(1)))) = r.getDouble(2))
-    assert(sims.exists(_ < 0) && sims.distinct.length <= 9, sims.distinct.sorted.mkString(", "))
-    Differential.assertSameIndex(idx, SeqScanIndex.buildFromSims(sg, sims), 0.0)
-    idx.unpersist(); gw.unpersist()
+    val gw = GraphGen.denseWeighted(spark, 80, 1500, seed = 68).cache()
+    val d  = new Differential(gw, Similarity.Cosine, ApproxSimilarity.buildIndex(gw, Similarity.Cosine, 8, seed = 9))
+    assert(d.sims.exists(_ < 0) && d.sims.distinct.length <= 9, d.sims.distinct.sorted.mkString(", "))
+    Differential.assertSameIndex(d.index, d.gs, 0.0)
+    d.index.unpersist(); gw.unpersist()
   }
 
   test("the layout broadcast serializes no SeqGraph") {

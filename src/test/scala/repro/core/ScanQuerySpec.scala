@@ -82,8 +82,7 @@ class ScanQuerySpec extends SparkSpec {
 
   // ------------------------------------ the differential harness ------
 
-  // Named inputs of the differential harness (`Differential`), one test per
-  // point and query path (`stripePaths`).
+  // Named inputs of the differential harness, one test per point and query path.
 
   private val grid = Seq(
     (2, 0.2), (2, 0.5), (2, 0.8),
@@ -143,7 +142,7 @@ class ScanQuerySpec extends SparkSpec {
     // one cluster covers all ten vertices, so there are no roles.
     assert(seq.hubsAndOutliers(seq.cluster(5, 0.85)) == (0L to 9L).map(_ -> "outlier").toMap)
     assert(seq.hubsAndOutliers(seq.cluster(2, 0.44)).isEmpty)
-    new Differential(fig, Similarity.Cosine, figIdx, exact = true).checkPoints(Seq((5, 0.85), (2, 0.44)))
+    Differential(fig, Similarity.Cosine).checkPoints(Seq((5, 0.85), (2, 0.44)))
   }
 
   test("Spark query equals the sequential query on RMAT-9 with negative and near-Long.MaxValue ids") {
@@ -167,12 +166,14 @@ class ScanQuerySpec extends SparkSpec {
 
   test("Spark query equals the sequential query on a weighted fromSimilarities index") {
     val g = GraphGen.denseWeighted(spark, 60, 700, seed = 79)
-    new Differential(g, Similarity.Cosine, ScanIndex.fromSimilarities(g, Similarity.similarities(g, Similarity.Cosine)), exact = true).checkPoints(grid)
+    val d = new Differential(g, Similarity.Cosine, ScanIndex.fromSimilarities(g, Similarity.similarities(g, Similarity.Cosine)))
+    assert(d.exact)
+    d.checkPoints(grid)
   }
 
   test("Spark query equals the sequential query on an approximate index") {
     val g = GraphGen.denseWeighted(spark, 60, 900, seed = 80)
-    new Differential(g, Similarity.Cosine, ApproxSimilarity.buildIndex(g, Similarity.Cosine, 16, seed = 81), exact = false).checkPoints(grid)
+    new Differential(g, Similarity.Cosine, ApproxSimilarity.buildIndex(g, Similarity.Cosine, 16, seed = 81)).checkPoints(grid)
   }
 
   test("labels of a DataFrame that no query returned are collected only if they fit the driver") {
